@@ -7,17 +7,15 @@ gradients through shared subgraphs, this is mathematically identical to
 embedding each pair separately, but far cheaper — a graph appearing in k
 pairs is propagated once instead of k times.
 
-On top of that, the default ``batched`` mode packs each minibatch's unique
-graphs into one block-diagonal system (:mod:`repro.nn.batch`) and runs
-forward *and* backward as a handful of large sparse/dense products instead
-of a Python loop of per-graph passes; the pair losses are likewise one
-vectorized cosine computation.  Gradients match the per-graph ``loop``
-mode (kept for comparison and benchmarking) to summation-order rounding.
+Each step packs the minibatch's unique graphs into one block-diagonal
+system (:mod:`repro.nn.batch`) and runs forward *and* backward as a
+handful of large sparse/dense products; pooling and readout are
+segment-wise over the packed nodes, and the pair losses are one vectorized
+cosine computation.  ``tests/test_trainer_golden.py`` pins the trained
+weights byte for byte.
 """
 
 import time
-
-import numpy as np
 
 from repro.core.dataset import batches
 from repro.core.gnn4ip import GNN4IP, cosine_similarity_np
@@ -29,9 +27,7 @@ from repro.nn.batch import (
     batched_pair_loss,
     pack_prepared,
 )
-from repro.nn.loss import cosine_embedding_loss
 from repro.nn.optim import SGD, Adam
-from repro.nn.tensor import Tensor
 
 
 class Trainer:
@@ -44,21 +40,14 @@ class Trainer:
         margin: cosine-embedding-loss margin (paper: 0.5).
         optimizer: ``adam`` or ``sgd`` (the paper's batch gradient descent).
         seed: shuffling seed.
-        mode: ``batched`` (block-diagonal forward/backward, default) or
-            ``loop`` (one autograd pass per graph; the pre-batching path,
-            kept as the reference for equivalence tests and benchmarks).
     """
 
     def __init__(self, model=None, lr=1e-3, batch_size=64, margin=0.5,
-                 optimizer="adam", seed=0, positive_weight=None,
-                 mode="batched"):
+                 optimizer="adam", seed=0, positive_weight=None):
         self.model = model if model is not None else GNN4IP()
         self.batch_size = batch_size
         self.margin = margin
         self.seed = seed
-        if mode not in ("batched", "loop"):
-            raise ModelError(f"unknown trainer mode {mode!r}")
-        self.mode = mode
         #: Loss weight for similar pairs.  ``None`` = auto-balance: the
         #: pair universe is heavily skewed toward dissimilar pairs (all
         #: cross-design combinations), and with the paper's plain accuracy
@@ -73,19 +62,18 @@ class Trainer:
         else:
             raise ModelError(f"unknown optimizer {optimizer!r}")
         self._prepared = None
+        self._prepared_records = None
 
     # ------------------------------------------------------------------
     def _prepare_all(self, dataset):
-        if self._prepared is None or len(self._prepared) != len(dataset.records):
+        """Prepared graphs, cached per records list (identity and length)."""
+        records = dataset.records
+        if (self._prepared_records is not records
+                or len(self._prepared) != len(records)):
             encoder = self.model.encoder
-            self._prepared = [encoder.prepare(r.graph) for r in dataset.records]
+            self._prepared = [encoder.prepare(r.graph) for r in records]
+            self._prepared_records = records
         return self._prepared
-
-    def _embed_indices(self, indices, training):
-        """Embed the graphs at ``indices`` per-graph; returns {index: Tensor}."""
-        encoder = self.model.encoder
-        encoder.train() if training else encoder.eval()
-        return {index: encoder(self._prepared[index]) for index in indices}
 
     # ------------------------------------------------------------------
     def _balance_weight(self, dataset):
@@ -99,8 +87,8 @@ class Trainer:
         # Cap the weight so a near-empty positive class cannot explode it.
         return min(negatives / positives, 32.0)
 
-    def _step_batched(self, batch, weight):
-        """One gradient step through the block-diagonal batched path."""
+    def _step(self, batch, weight):
+        """One minibatch's loss through the block-diagonal batched path."""
         encoder = self.model.encoder
         encoder.train()
         unique = sorted({i for i, _, _ in batch} | {j for _, j, _ in batch})
@@ -111,19 +99,6 @@ class Trainer:
             embeddings, [(row[i], row[j], label) for i, j, label in batch],
             self.margin, positive_weight=weight)
         return loss
-
-    def _step_loop(self, batch, weight):
-        """One gradient step through the per-graph reference path."""
-        unique = sorted({i for i, _, _ in batch} | {j for _, j, _ in batch})
-        embeddings = self._embed_indices(unique, training=True)
-        loss = Tensor(0.0)
-        for i, j, label in batch:
-            pair_loss, _ = cosine_embedding_loss(
-                embeddings[i], embeddings[j], label, self.margin)
-            if label == 1 and weight != 1.0:
-                pair_loss = pair_loss * weight
-            loss = loss + pair_loss
-        return loss * (1.0 / len(batch))
 
     def train_epoch(self, dataset, epoch=0, extra_pairs=None):
         """One pass over the train pairs; returns (mean_loss, seconds).
@@ -138,13 +113,12 @@ class Trainer:
         pairs = dataset.train_pairs
         if extra_pairs:
             pairs = list(pairs) + list(extra_pairs)
-        step = self._step_batched if self.mode == "batched" else self._step_loop
         total_loss = 0.0
         num_pairs = 0
         start = time.perf_counter()
         for batch in batches(pairs, self.batch_size,
                              seed=self.seed + epoch):
-            loss = step(batch, weight)
+            loss = self._step(batch, weight)
             self.optimizer.zero_grad()
             loss.backward()
             self.optimizer.step()

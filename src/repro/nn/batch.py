@@ -5,7 +5,8 @@ time on per-graph Python and small-matrix overhead when embedding a corpus.
 Batching packs the graphs into one block-diagonal system:
 
 - node features are stacked into a single ``(sum(N_i), F)`` matrix, and
-- the pre-normalized adjacencies become one block-diagonal CSR matrix,
+- the graphs' cached normalized adjacencies become one block-diagonal CSR
+  matrix, built in O(nnz) by concatenating their CSR arrays,
 
 so every GCN layer runs as a single sparse @ dense @ dense product over the
 whole batch.  The normalized adjacency has no cross-block entries, so the
@@ -13,9 +14,11 @@ batched math is exactly the per-graph math; the only numerical difference
 is BLAS summation order on the larger matrices, which the tests bound at
 1e-9 relative against :meth:`HW2VEC.embed` in eval mode.
 
-The pooling / readout tail (top-k selection, tanh gating, reduction) is
-inherently per-graph, so it runs as a vectorized numpy loop over the node
-segments of the batch.
+The pooling / readout tail is segment-wise rather than per graph: one
+lexsort picks every graph's top-k nodes
+(:func:`~repro.nn.pooling.segment_topk`), and one readout node
+(:meth:`~repro.nn.tensor.Tensor.segment_reduce`) reduces each graph's
+gated nodes to its embedding row.
 
 Two entry points share the packing:
 
@@ -30,8 +33,8 @@ Two entry points share the packing:
 import numpy as np
 from scipy import sparse
 
-from repro.nn.pooling import topk_nodes
-from repro.nn.tensor import Tensor, concat
+from repro.nn.pooling import segment_topk
+from repro.nn.tensor import Tensor
 
 
 class GraphBatch:
@@ -55,31 +58,31 @@ class GraphBatch:
     def __len__(self):
         return len(self.sizes)
 
-    def segment(self, matrix, index):
-        """Rows of ``matrix`` belonging to graph ``index``."""
-        return matrix[self.offsets[index]:self.offsets[index + 1]]
-
 
 def pack_prepared(prepared_graphs):
     """Pack :class:`~repro.core.hw2vec.PreparedGraph` objects into a batch.
 
     Reuses each graph's cached ``a_norm``, so normalization is never
-    recomputed; packing is a pure stack/block-diag operation.
+    recomputed.  The blocks are canonical CSR, so concatenating their
+    ``data``/``indices``/``indptr`` arrays with node and nonzero offsets
+    gives ``sparse.block_diag(..., format="csr")`` element for element.
     """
     prepared = list(prepared_graphs)
     if not prepared:
         raise ValueError("cannot pack an empty graph batch")
+    blocks = [p.a_norm for p in prepared]
+    sizes = [p.num_nodes for p in prepared]
+    nodes = np.cumsum([0] + sizes).tolist()
+    nnz = np.cumsum([0] + [block.nnz for block in blocks]).tolist()
+    data = np.concatenate([block.data for block in blocks])
+    indices = np.concatenate([block.indices + start
+                              for block, start in zip(blocks, nodes)])
+    indptr = np.concatenate([[0]] + [block.indptr[1:] + start
+                                     for block, start in zip(blocks, nnz)])
+    a_norm = sparse.csr_matrix((data, indices, indptr),
+                               shape=(nodes[-1], nodes[-1]))
     features = np.vstack([p.features for p in prepared])
-    a_norm = sparse.block_diag([p.a_norm for p in prepared], format="csr")
-    return GraphBatch(features, a_norm, [p.num_nodes for p in prepared])
-
-
-def _readout(x, mode):
-    if mode == "max":
-        return x.max(axis=0)
-    if mode == "mean":
-        return x.mean(axis=0)
-    return x.sum(axis=0)
+    return GraphBatch(features, a_norm, sizes)
 
 
 def batched_forward(encoder, batch):
@@ -107,16 +110,26 @@ def batched_forward(encoder, batch):
         scores = scores + score_layer.bias.data
     scores = scores.ravel()
 
-    ratio = encoder.pool.ratio
+    kept, counts = segment_topk(scores, batch.sizes, encoder.pool.ratio)
+    starts = np.cumsum(counts) - counts
+    gated = Tensor(x[kept] * np.tanh(scores[kept])[:, None])
     mode = encoder.readout.mode
-    out = np.empty((len(batch), encoder.hidden))
-    for index, size in enumerate(batch.sizes):
-        seg_x = batch.segment(x, index)
-        seg_scores = scores[batch.offsets[index]:batch.offsets[index + 1]]
-        kept = topk_nodes(seg_scores, size, ratio)
-        gate = np.tanh(seg_scores[kept])[:, None]
-        out[index] = _readout(seg_x[kept] * gate, mode)
-    return out
+    out = gated.segment_reduce(starts, "max" if mode == "max" else "sum").data
+    return out / counts[:, None] if mode == "mean" else out
+
+
+def _dropout_masks(dropout, batch, layers, width):
+    """Every layer's dropout mask for the batch, from one RNG draw.
+
+    Rows are drawn graph-major, layer-minor — the RNG order of per-graph
+    :meth:`HW2VEC.forward` calls — then regrouped into one mask per layer.
+    """
+    sizes = np.asarray(batch.sizes)
+    graph = np.repeat(np.arange(len(sizes)), sizes)
+    drawn = dropout.draw_mask((layers * len(graph), width))
+    # Graph g's block for layer l starts at row layers * offsets[g] + l * N_g.
+    rows = np.arange(len(graph)) + (layers - 1) * batch.offsets[graph]
+    return [drawn[rows + layer * sizes[graph]] for layer in range(layers)]
 
 
 def batched_forward_tensor(encoder, batch):
@@ -125,66 +138,39 @@ def batched_forward_tensor(encoder, batch):
     The differentiable twin of :func:`batched_forward`: runs the GCN stack
     as block-diagonal Tensor ops (building the gradient tape through the
     encoder's weights), honours the encoder's train/eval mode for dropout,
-    and applies the SAGPool/readout tail per node segment with
-    differentiable gathers.  Dropout masks are drawn *per graph* in packed
-    order (graph-major, layer-minor) — the exact RNG consumption order of
-    per-graph :meth:`HW2VEC.forward` calls over the same graphs — so
-    batched training reproduces the per-graph loop bit-for-bit in its
-    randomness, not just in expectation.  Per-graph results match
-    :meth:`HW2VEC.forward` on the same mode to BLAS rounding, and — because
-    the blocks share no entries — the gradients accumulated by
-    ``backward()`` equal the sum of per-graph backward passes.
+    and applies the SAGPool/readout tail segment-wise with differentiable
+    gathers and a segment readout.  Dropout masks follow the RNG order of
+    per-graph :meth:`HW2VEC.forward` calls over the same graphs (see
+    :func:`_dropout_masks`).  Because the blocks share no entries, the
+    gradients accumulated by ``backward()`` equal the sum of per-graph
+    backward passes.
 
     Returns:
         ``(n_graphs, hidden)`` embedding Tensor.
     """
     dropout = encoder.dropout
-    use_dropout = dropout.training and dropout.rate > 0.0
     masks = None
-    if use_dropout:
-        layer_chunks = [[] for _ in encoder.convs]
-        for size in batch.sizes:
-            for chunks in layer_chunks:
-                chunks.append(dropout.draw_mask((size, encoder.hidden)))
-        masks = [Tensor(np.vstack(chunks)) for chunks in layer_chunks]
+    if dropout.training and dropout.rate > 0.0:
+        masks = _dropout_masks(dropout, batch, len(encoder.convs),
+                               encoder.hidden)
 
     x = Tensor(batch.features)
     for layer, conv in enumerate(encoder.convs):
         x = conv(x, batch.a_norm).relu()
-        if use_dropout:
+        if masks is not None:
             x = x * masks[layer]
     scores = encoder.pool.score_layer(x, batch.a_norm)
     scores = scores.reshape(scores.shape[0])
 
-    ratio = encoder.pool.ratio
     # Top-k selection is data-dependent but not differentiated (exactly as
     # in SAGPool), so the kept indices come from the raw score values.
-    kept_all = []
-    counts = []
-    for index, size in enumerate(batch.sizes):
-        start = batch.offsets[index]
-        kept = topk_nodes(scores.data[start:start + size], size, ratio)
-        kept_all.append(start + kept)
-        counts.append(len(kept))
-    kept_all = np.concatenate(kept_all)
-
-    gate = scores.index_select(kept_all).tanh().reshape(len(kept_all), 1)
-    gated = x.index_select(kept_all) * gate
-
+    kept, counts = segment_topk(scores.data, batch.sizes, encoder.pool.ratio)
+    starts = np.cumsum(counts) - counts
+    gate = scores.index_select(kept).tanh().reshape(len(kept), 1)
+    gated = x.index_select(kept) * gate
     mode = encoder.readout.mode
-    rows = []
-    offset = 0
-    for keep in counts:
-        segment = gated.index_select(np.arange(offset, offset + keep))
-        if mode == "max":
-            row = segment.max(axis=0)
-        elif mode == "mean":
-            row = segment.mean(axis=0)
-        else:
-            row = segment.sum(axis=0)
-        rows.append(row.reshape(1, encoder.hidden))
-        offset += keep
-    return concat(rows, axis=0)
+    out = gated.segment_reduce(starts, "max" if mode == "max" else "sum")
+    return out * (1.0 / counts[:, None]) if mode == "mean" else out
 
 
 def batched_pair_loss(embeddings, pairs, margin=0.5, positive_weight=1.0,

@@ -128,7 +128,9 @@ def normalize_adjacency(adjacency, add_self_loops=True):
     nonzero = degree > 0
     inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
     scaling = sparse.diags(inv_sqrt)
-    return (scaling @ matrix @ scaling).tocsr()
+    a_norm = (scaling @ matrix @ scaling).tocsr()
+    a_norm.sum_duplicates()  # canonical CSR, which pack_prepared relies on
+    return a_norm
 
 
 class GCNConv(Module):
@@ -170,9 +172,8 @@ class Dropout(Module):
     def draw_mask(self, shape):
         """Draw one inverted-dropout mask, consuming the module RNG.
 
-        Exposed so the block-diagonal batched trainer can draw per-graph
-        masks in exactly the per-graph forward order, keeping batched and
-        per-graph training bit-compatible in their randomness.
+        Exposed so the block-diagonal batched trainer can draw a whole
+        batch's masks in one call, in the per-graph forward order.
         """
         keep = 1.0 - self.rate
         mask = self._rng.random(shape) < keep

@@ -13,18 +13,32 @@ from repro.nn.layers import GCNConv, Module, normalize_adjacency
 from repro.nn.tensor import Tensor
 
 
+def segment_topk(scores, sizes, ratio):
+    """:func:`topk_nodes` for consecutive graphs of ``sizes`` nodes at once.
+
+    One ``np.lexsort`` orders every segment of ``scores``.  Returns the
+    ascending kept indices into ``scores`` and the number kept per graph.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    segment = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((-scores, segment))
+    keep = np.maximum(1, np.ceil(ratio * sizes).astype(np.int64))
+    rank = np.arange(len(order)) - starts[segment]
+    kept = np.sort(order[rank < keep[segment]])
+    return kept, np.minimum(keep, sizes)
+
+
 def topk_nodes(scores, num_nodes, ratio):
     """Indices of the kept nodes: top ``ceil(ratio * N)`` by score.
 
     The single source of truth for SAGPool's selection semantics — stable
-    descending argsort (ties keep node order), at least one survivor, kept
-    indices re-sorted ascending.  Shared with the batched forward paths in
-    :mod:`repro.nn.batch`, whose bit-parity with per-graph pooling depends
-    on all call sites selecting identically.
+    descending order (ties keep node order), at least one survivor, kept
+    indices re-sorted ascending.  It is the one-segment case of
+    :func:`segment_topk`, which the batched forward paths in
+    :mod:`repro.nn.batch` use, so all call sites select identically.
     """
-    keep = max(1, int(np.ceil(ratio * num_nodes)))
-    order = np.argsort(-scores, kind="stable")
-    return np.sort(order[:keep])
+    return segment_topk(scores, [num_nodes], ratio)[0]
 
 
 class SAGPool(Module):

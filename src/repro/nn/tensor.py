@@ -261,15 +261,49 @@ class Tensor:
 
         return self._make(value, (self,), backward)
 
+    def segment_reduce(self, starts, mode):
+        """Per-segment ``max`` or ``sum`` over the rows of a 2-D tensor.
+
+        Segment ``i`` is rows ``starts[i]:starts[i + 1]`` (the last runs to
+        the end) and must be non-empty.  Value and gradient equal
+        per-segment ``index_select`` then :meth:`max` / :meth:`sum` bit for
+        bit, tie-splitting of the ``max`` gradient included.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        counts = np.diff(np.append(starts, len(self.data)))
+        # Not ``ufunc.reduceat``: it combines rows in another order than
+        # ``max``/``sum(axis=0)``, changing sums and the sign of tied zeros.
+        reduce = np.max if mode == "max" else np.sum
+        value = np.stack([reduce(self.data[start:start + count], axis=0)
+                          for start, count in zip(starts, counts)])
+
+        def backward(grad):
+            if self.requires_grad:
+                grad = np.repeat(grad, counts, axis=0)
+                if mode == "max":
+                    hit = (self.data == np.repeat(value, counts, 0)) * 1.0
+                    ties = np.maximum(np.add.reduceat(hit, starts, 0), 1.0)
+                    grad = hit / np.repeat(ties, counts, 0) * grad
+                # ``+ 0.0`` maps -0.0 to 0.0, as ``index_select``'s scatter
+                # onto zeros does.
+                self._accumulate(grad + 0.0)
+
+        return self._make(value, (self,), backward)
+
     # -- indexing / shaping -----------------------------------------------
     def index_select(self, indices):
         """Select rows (axis 0) by integer array; differentiable."""
         indices = np.asarray(indices, dtype=np.int64)
+        increasing = bool(np.all(indices[1:] > indices[:-1]))
 
         def backward(grad):
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, indices, grad)
+                if increasing:
+                    # No repeats: assign; ``+ 0.0`` rounds -0.0 as add.at does.
+                    full[indices] = grad + 0.0
+                else:
+                    np.add.at(full, indices, grad)
                 self._accumulate(full)
 
         return self._make(self.data[indices], (self,), backward)

@@ -230,3 +230,88 @@ class TestPropertyBased:
         arr = np.array(values)
         np.testing.assert_allclose(dot(Tensor(arr), Tensor(arr)).item(),
                                    float(arr @ arr), atol=1e-6)
+
+
+def _per_segment_readout(x, counts, mode):
+    """Reference readout: one gather and one reduction per segment."""
+    rows = []
+    offset = 0
+    for count in counts:
+        segment = x.index_select(np.arange(offset, offset + count))
+        row = {"max": segment.max, "mean": segment.mean,
+               "sum": segment.sum}[mode](axis=0)
+        rows.append(row.reshape(1, x.shape[1]))
+        offset += count
+    return concat(rows, axis=0)
+
+
+def _segment_readout(x, counts, mode):
+    starts = np.cumsum(counts) - counts
+    out = x.segment_reduce(starts, "max" if mode == "max" else "sum")
+    return out * (1.0 / counts[:, None]) if mode == "mean" else out
+
+
+class TestSegmentReductions:
+    """Segment readouts equal per-segment reductions bit for bit."""
+
+    #: Long segments too: on those numpy's ``reduceat`` combines rows in
+    #: another order than ``max``/``sum(axis=0)``.
+    COUNTS = np.array([3, 1, 33, 2, 24])
+
+    def _data(self):
+        # Non-integer values make the summation order visible; a repeated
+        # row and columns of signed zeros give ties inside segments.
+        rng = np.random.default_rng(7)
+        data = rng.normal(size=(self.COUNTS.sum(), 6))
+        data[1] = data[0]
+        data[:, 3:] = rng.choice([0.0, -0.0, -1.0], size=(len(data), 3))
+        return data
+
+    @pytest.mark.parametrize("mode", ["max", "mean", "sum"])
+    def test_forward_and_gradient_bitwise(self, mode):
+        data = self._data()
+        # Negative and zero upstream gradients exercise the sign of zero.
+        upstream = RNG.integers(-2, 2, size=(len(self.COUNTS), 6)) * 0.75
+        results = []
+        for readout in (_per_segment_readout, _segment_readout):
+            x = Tensor(data.copy(), requires_grad=True)
+            out = readout(x, self.COUNTS, mode)
+            out.backward(upstream)
+            results.append((out.data, x.grad))
+        (ref_out, ref_grad), (out, grad) = results
+        assert out.tobytes() == ref_out.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_max_splits_ties_like_max(self):
+        x = Tensor(np.array([[1.0, 2.0], [1.0, 0.0], [3.0, 2.0],
+                             [5.0, 5.0]]), requires_grad=True)
+        x.segment_reduce([0, 3], "max").sum().backward()
+        np.testing.assert_array_equal(
+            x.grad, [[0.0, 0.5], [0.0, 0.0], [1.0, 0.5], [1.0, 1.0]])
+
+    def test_segment_max_gradient_numeric(self):
+        counts = np.array([2, 3])
+        check_gradient(
+            lambda x: _segment_readout(x, counts, "max").pow(2.0).sum(),
+            (5, 3))
+
+
+class TestIndexSelectBackward:
+    """The direct-assignment backward equals the scatter-add it replaces."""
+
+    @pytest.mark.parametrize("indices", [[0, 2, 3, 5], [1, 1, 4, 0, 4],
+                                         [5, 2, 0]])
+    def test_matches_scatter_add(self, indices):
+        data = RNG.normal(size=(6, 3))
+        upstream = RNG.integers(-1, 2, size=(len(indices), 3)) * -0.0
+        upstream[0] = RNG.normal(size=3)
+        x = Tensor(data, requires_grad=True)
+        x.index_select(indices).backward(upstream)
+        expected = np.zeros_like(data)
+        np.add.at(expected, np.asarray(indices), upstream)
+        assert x.grad.tobytes() == expected.tobytes()
+
+    def test_one_dimensional(self):
+        x = Tensor(np.arange(5.0), requires_grad=True)
+        x.index_select([0, 3, 4]).backward(np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(x.grad, [1.0, 0.0, 0.0, 2.0, 3.0])

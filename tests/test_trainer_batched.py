@@ -1,11 +1,10 @@
-"""Batched training: gradient equivalence, determinism, loss parity."""
+"""Batched training: pair-loss parity, determinism, the prepared cache."""
 
 import numpy as np
 import pytest
 
 from repro.core import GNN4IP, GraphRecord, Trainer, build_pair_dataset
 from repro.dataflow import dfg_from_verilog
-from repro.errors import ModelError
 from repro.nn.batch import (
     batched_forward_tensor,
     batched_pair_loss,
@@ -46,39 +45,7 @@ def dataset():
     return build_pair_dataset(records, test_fraction=0.2, seed=1)
 
 
-def _grads(model):
-    return {name: param.grad.copy()
-            for name, param in model.encoder.named_parameters()}
-
-
 class TestGradientEquivalence:
-    def test_batched_matches_per_pair_loop_to_1e8(self, dataset):
-        """Block-diagonal forward+backward == per-graph loop (dropout off)."""
-        model = GNN4IP(seed=0, dropout=0.0)
-        trainer = Trainer(model, seed=0, mode="loop")
-        trainer._prepare_all(dataset)
-        batch = dataset.train_pairs
-
-        loop_loss = trainer._step_loop(batch, weight=2.0)
-        model.encoder.zero_grad()
-        loop_loss.backward()
-        loop_grads = _grads(model)
-
-        batched = Trainer(model, seed=0, mode="batched")
-        batched._prepared = trainer._prepared
-        batched_loss = batched._step_batched(batch, weight=2.0)
-        model.encoder.zero_grad()
-        batched_loss.backward()
-        batched_grads = _grads(model)
-
-        assert batched_loss.item() == pytest.approx(loop_loss.item(),
-                                                    abs=1e-10)
-        assert set(loop_grads) == set(batched_grads)
-        for name, grad in loop_grads.items():
-            np.testing.assert_allclose(batched_grads[name], grad,
-                                       rtol=1e-8, atol=1e-8,
-                                       err_msg=f"gradient mismatch: {name}")
-
     def test_vectorized_pair_loss_matches_scalar(self, dataset):
         model = GNN4IP(seed=0, dropout=0.0)
         model.encoder.eval()
@@ -128,31 +95,11 @@ class TestDeterminism:
 
 
 class TestBatchedTrainer:
-    def test_default_mode_is_batched(self):
-        assert Trainer(GNN4IP(seed=0)).mode == "batched"
-        with pytest.raises(ModelError):
-            Trainer(GNN4IP(seed=0), mode="turbo")
-
     def test_loss_decreases(self, dataset):
         trainer = Trainer(GNN4IP(seed=0, dropout=0.0), lr=0.01, seed=0)
         losses = [trainer.train_epoch(dataset, epoch)[0]
                   for epoch in range(15)]
         assert min(losses[5:]) <= losses[0] + 1e-9
-
-    @pytest.mark.parametrize("dropout", [0.0, 0.1])
-    def test_epoch_loss_matches_loop_mode(self, dataset, dropout):
-        """Same seed => identical epoch losses either way.
-
-        Holds even with dropout on: the batched path draws per-graph masks
-        in the per-graph forward order, so the RNG streams coincide.
-        """
-        loop = Trainer(GNN4IP(seed=0, dropout=dropout), seed=0, mode="loop")
-        batched = Trainer(GNN4IP(seed=0, dropout=dropout), seed=0,
-                          mode="batched")
-        for epoch in range(3):
-            loss_loop, _ = loop.train_epoch(dataset, epoch)
-            loss_batched, _ = batched.train_epoch(dataset, epoch)
-            assert loss_batched == pytest.approx(loss_loop, abs=1e-8)
 
     def test_evaluate_pairs_empty(self, dataset):
         trainer = Trainer(GNN4IP(seed=0), seed=0)
@@ -169,3 +116,21 @@ class TestBatchedTrainer:
             direct = model.similarity(dataset.records[i].graph,
                                       dataset.records[j].graph)
             assert sim == pytest.approx(direct, abs=1e-9)
+
+    def test_prepared_cache_follows_the_dataset(self, dataset):
+        """A same-size dataset with other graphs is prepared afresh."""
+        swapped = build_pair_dataset(
+            [GraphRecord(r.design, r.instance, dataset.records[-1 - k].graph)
+             for k, r in enumerate(dataset.records)],
+            test_fraction=0.2, seed=1)
+        assert len(swapped.records) == len(dataset.records)
+
+        trainer = Trainer(GNN4IP(seed=0), seed=0)
+        trainer.train_epoch(dataset, 0)
+        reused, _, _ = trainer.evaluate_pairs(swapped, swapped.test_pairs)
+
+        fresh = Trainer(GNN4IP(seed=0), seed=0)
+        fresh.model.encoder.load_state_dict(
+            trainer.model.encoder.state_dict())
+        expected, _, _ = fresh.evaluate_pairs(swapped, swapped.test_pairs)
+        assert reused == expected
