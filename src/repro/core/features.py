@@ -112,8 +112,8 @@ class OneHotFeaturizer:
         """
         self.check(graph)
         features = np.zeros((len(graph), self.dim))
-        for node in graph.nodes:
-            features[node.node_id, self.label_index[node.label]] = 1.0
+        features[np.arange(len(graph)),
+                 [self.label_index[node.label] for node in graph.nodes]] = 1.0
         return features
 
     def __repr__(self):

@@ -17,21 +17,21 @@ import numpy as np
 
 from repro.core.features import get_featurizer
 from repro.ir import to_graphir
-from repro.nn.layers import Dropout, GCNConv, Module, normalize_adjacency
+from repro.nn.layers import Dropout, GCNConv, Module, normalized_csr
 from repro.nn.pooling import Readout, SAGPool
 from repro.nn.tensor import Tensor
 
 
 class PreparedGraph:
-    """A GraphIR converted to model inputs (features + adjacencies).
+    """A GraphIR converted to model inputs: features and canonical CSR
+    ``a_norm``, built in numpy from the edge keys (no raw adjacency kept).
 
     Conversion is deterministic, so prepared graphs can be cached and reused
     across epochs.  Accepts anything :func:`repro.ir.to_graphir` can adapt
     (GraphIR, DFG, gate-level Netlist).
     """
 
-    __slots__ = ("name", "level", "features", "adjacency", "a_norm",
-                 "num_nodes")
+    __slots__ = ("name", "level", "features", "a_norm", "num_nodes")
 
     def __init__(self, graph, featurizer="rtl"):
         ir = to_graphir(graph)
@@ -39,9 +39,9 @@ class PreparedGraph:
         self.name = ir.name
         self.level = getattr(ir, "level", featurizer.level)
         self.features = featurizer.features(ir)
-        self.adjacency = ir.adjacency(symmetric=True)
-        self.a_norm = normalize_adjacency(self.adjacency)
         self.num_nodes = len(ir)
+        keys = ir.edge_keys()
+        self.a_norm = normalized_csr(self.num_nodes, keys, np.ones(len(keys)))
 
 
 class HW2VEC(Module):
@@ -109,17 +109,18 @@ class HW2VEC(Module):
         for conv in self.convs:
             x = conv(x, prepared.a_norm).relu()
             x = self.dropout(x)
-        x_pool, _, _, _ = self.pool(x, prepared.a_norm, prepared.adjacency)
+        x_pool, _ = self.pool(x, prepared.a_norm)
         return self.readout(x_pool)
 
     def embed(self, graph):
         """Embed a graph (prepares it first); returns a numpy vector."""
         was_training = self.training
         self.eval()
-        embedding = self.forward(self.prepare(graph)).numpy().copy()
-        if was_training:
-            self.train()
-        return embedding
+        try:
+            return self.forward(self.prepare(graph)).numpy().copy()
+        finally:
+            if was_training:
+                self.train()
 
     def embed_many(self, graphs, batch_size=64):
         """Embed a sequence of graphs; returns an (n, hidden) array.

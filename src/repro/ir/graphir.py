@@ -13,6 +13,8 @@ the paper's rooted DFG orientation; the GCN consumes the symmetrized
 adjacency, so orientation only matters to structural queries.
 """
 
+from itertools import chain
+
 import numpy as np
 from scipy import sparse
 
@@ -152,24 +154,33 @@ class GraphIR:
                 graph.add_edge(src, dst)
         return graph
 
+    def edge_keys(self, symmetric=True):
+        """Sorted unique flat keys ``row * N + col`` of :meth:`adjacency`.
+
+        One walk gathers the edge arrays; one sort symmetrizes and dedups.
+        """
+        n = len(self.nodes)
+        counts = np.fromiter(map(len, self._succ), dtype=np.int64, count=n)
+        src = np.repeat(np.arange(n), counts)
+        dst = np.fromiter(chain.from_iterable(self._succ), dtype=np.int64,
+                          count=len(src))
+        keys = src * n + dst
+        if symmetric:
+            keys = np.concatenate([keys, dst * n + src])
+        keys.sort()
+        return np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
+
     def adjacency(self, symmetric=True, dtype=np.float64):
-        """Sparse adjacency matrix (CSR).
+        """Sparse binary adjacency matrix (canonical CSR).
 
         Args:
             symmetric: union with the transpose, which is what the GCN
                 propagation (Eq. 5) expects for undirected message passing.
         """
         n = len(self.nodes)
-        rows, cols = [], []
-        for src, deps in enumerate(self._succ):
-            for dst in deps:
-                rows.append(src)
-                cols.append(dst)
-        data = np.ones(len(rows), dtype=dtype)
-        matrix = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-        if symmetric:
-            matrix = matrix.maximum(matrix.T)
-        return matrix
+        rows, cols = np.divmod(self.edge_keys(symmetric), max(n, 1))
+        return sparse.csr_matrix(
+            (np.ones(len(rows), dtype=dtype), (rows, cols)), shape=(n, n))
 
     def stats(self):
         """Summary dict used in reports and tests."""

@@ -5,8 +5,9 @@ time on per-graph Python and small-matrix overhead when embedding a corpus.
 Batching packs the graphs into one block-diagonal system:
 
 - node features are stacked into a single ``(sum(N_i), F)`` matrix, and
-- the graphs' cached normalized adjacencies become one block-diagonal CSR
-  matrix, built in O(nnz) by concatenating their CSR arrays,
+- the graphs' cached normalized adjacencies, canonical CSR arrays built
+  in numpy at preparation (:func:`~repro.nn.layers.normalized_csr`),
+  become one block-diagonal CSR matrix by concatenating them in O(nnz),
 
 so every GCN layer runs as a single sparse @ dense @ dense product over the
 whole batch.  The normalized adjacency has no cross-block entries, so the

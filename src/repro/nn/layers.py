@@ -5,7 +5,8 @@ The GCN layer implements Eq. 5 of the paper:
     X' = sigma( D^-1/2 (A + I) D^-1/2 X W )
 
 The normalized adjacency is precomputed per graph (it is constant) with
-:func:`normalize_adjacency`; the layer then only does sparse @ dense @ W.
+:func:`normalized_csr` (numpy, O(nnz)); the layer then only does
+sparse @ dense @ W.
 """
 
 import numpy as np
@@ -113,6 +114,44 @@ class Linear(Module):
         return out
 
 
+def normalized_csr(num_nodes, keys, values, add_self_loops=True):
+    """``D^-1/2 (A + I) D^-1/2`` as a canonical CSR, in O(nnz) numpy.
+
+    ``A`` is given by the sorted, unique flat keys ``row * N + col`` of
+    its entries and their ``values``.  The result equals the scipy
+    formula ``diags(d) @ (A + I) @ diags(d)`` bit for bit: self-loops
+    gain 1.0, zeros are dropped, degrees are summed in scipy's
+    ``np.add.reduceat`` order and entries scale as ``(d[i] * a) * d[j]``.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if add_self_loops:
+        keys = np.concatenate([keys, np.arange(num_nodes) * (num_nodes + 1)])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        values = np.concatenate([values, np.ones(num_nodes)])[order]
+        repeat = np.flatnonzero(keys[1:] == keys[:-1])  # A's own self-loops
+        values[repeat] += values[repeat + 1]
+        keep = values != 0
+        keep[repeat + 1] = False
+        keys, values = keys[keep], values[keep]
+    rows, cols = np.divmod(keys, max(num_nodes, 1))
+    counts = np.bincount(rows, minlength=num_nodes)
+    starts = np.cumsum(counts) - counts
+    degree = np.zeros(num_nodes)
+    degree[counts > 0] = np.add.reduceat(values, starts[counts > 0])
+    inv_sqrt = np.zeros_like(degree)
+    positive = degree > 0
+    inv_sqrt[positive] = 1.0 / np.sqrt(degree[positive])
+    data = (inv_sqrt[rows] * values) * inv_sqrt[cols]
+    kept = data != 0
+    index = np.int32 if max(num_nodes, len(data)) < 2**31 else np.int64
+    indptr = np.searchsorted(rows[kept], np.arange(num_nodes + 1))
+    return sparse.csr_matrix((data[kept], cols[kept].astype(index),
+                              indptr.astype(index)),
+                             shape=(num_nodes, num_nodes), copy=False)
+
+
 def normalize_adjacency(adjacency, add_self_loops=True):
     """Symmetric GCN normalization ``D^-1/2 (A + I) D^-1/2`` (CSR).
 
@@ -121,16 +160,11 @@ def normalize_adjacency(adjacency, add_self_loops=True):
         add_self_loops: add the identity (the paper's ``A + I``).
     """
     matrix = adjacency.tocsr().astype(np.float64)
-    if add_self_loops:
-        matrix = matrix + sparse.identity(matrix.shape[0], format="csr")
-    degree = np.asarray(matrix.sum(axis=1)).ravel()
-    inv_sqrt = np.zeros_like(degree)
-    nonzero = degree > 0
-    inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
-    scaling = sparse.diags(inv_sqrt)
-    a_norm = (scaling @ matrix @ scaling).tocsr()
-    a_norm.sum_duplicates()  # canonical CSR, which pack_prepared relies on
-    return a_norm
+    matrix.sum_duplicates()
+    num_nodes = matrix.shape[0]
+    rows = np.repeat(np.arange(num_nodes), np.diff(matrix.indptr))
+    return normalized_csr(num_nodes, rows * num_nodes + matrix.indices,
+                          matrix.data, add_self_loops)
 
 
 class GCNConv(Module):

@@ -9,7 +9,7 @@ by max / mean / sum.
 
 import numpy as np
 
-from repro.nn.layers import GCNConv, Module, normalize_adjacency
+from repro.nn.layers import GCNConv, Module
 from repro.nn.tensor import Tensor
 
 
@@ -57,26 +57,21 @@ class SAGPool(Module):
         self.score_layer = self.register_module(
             "score", GCNConv(channels, 1, rng=rng))
 
-    def forward(self, x, a_norm, adjacency):
+    def forward(self, x, a_norm):
         """Pool the graph.
 
         Args:
             x: (N, C) node embeddings.
             a_norm: normalized adjacency used by the scoring GCN.
-            adjacency: raw (binary) adjacency, used to build the pooled
-                graph's adjacency.
 
         Returns:
-            (x_pool, a_norm_pool, adj_pool, kept_indices)
+            (x_pool, kept_indices)
         """
         num_nodes = x.shape[0]
         scores = self.score_layer(x, a_norm).reshape(num_nodes)
         kept = topk_nodes(scores.data, num_nodes, self.ratio)
         gate = scores.index_select(kept).tanh().reshape(len(kept), 1)
-        x_pool = x.index_select(kept) * gate
-        adj_pool = adjacency[kept][:, kept]
-        a_norm_pool = normalize_adjacency(adj_pool)
-        return x_pool, a_norm_pool, adj_pool, kept
+        return x.index_select(kept) * gate, kept
 
 
 _READOUTS = ("max", "mean", "sum")

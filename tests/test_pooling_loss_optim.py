@@ -23,37 +23,30 @@ def ring_adjacency(n):
 class TestSAGPool:
     def make(self, n=8, channels=4, ratio=0.5):
         pool = SAGPool(channels, ratio=ratio, rng=RNG)
-        adjacency = ring_adjacency(n)
-        a_norm = normalize_adjacency(adjacency)
+        a_norm = normalize_adjacency(ring_adjacency(n))
         x = Tensor(RNG.normal(size=(n, channels)), requires_grad=True)
-        return pool, x, a_norm, adjacency
+        return pool, x, a_norm
 
     def test_keeps_ceil_ratio_nodes(self):
-        pool, x, a_norm, adjacency = self.make(n=8, ratio=0.5)
-        x_pool, _, _, kept = pool(x, a_norm, adjacency)
+        pool, x, a_norm = self.make(n=8, ratio=0.5)
+        x_pool, kept = pool(x, a_norm)
         assert len(kept) == 4
         assert x_pool.shape == (4, 4)
 
     def test_odd_count_rounds_up(self):
-        pool, x, a_norm, adjacency = self.make(n=5, ratio=0.5)
-        _, _, _, kept = pool(x, a_norm, adjacency)
+        pool, x, a_norm = self.make(n=5, ratio=0.5)
+        _, kept = pool(x, a_norm)
         assert len(kept) == 3
 
     def test_at_least_one_node_kept(self):
-        pool, x, a_norm, adjacency = self.make(n=1, ratio=0.5)
-        _, _, _, kept = pool(x, a_norm, adjacency)
+        pool, x, a_norm = self.make(n=1, ratio=0.5)
+        _, kept = pool(x, a_norm)
         assert len(kept) == 1
 
     def test_ratio_one_keeps_all(self):
-        pool, x, a_norm, adjacency = self.make(n=6, ratio=1.0)
-        _, _, _, kept = pool(x, a_norm, adjacency)
+        pool, x, a_norm = self.make(n=6, ratio=1.0)
+        _, kept = pool(x, a_norm)
         assert len(kept) == 6
-
-    def test_pooled_adjacency_is_submatrix(self):
-        pool, x, a_norm, adjacency = self.make()
-        _, _, adj_pool, kept = pool(x, a_norm, adjacency)
-        np.testing.assert_array_equal(
-            adj_pool.toarray(), adjacency.toarray()[kept][:, kept])
 
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ValueError):
@@ -62,8 +55,8 @@ class TestSAGPool:
             SAGPool(4, ratio=1.5)
 
     def test_gradient_flows_through_gate(self):
-        pool, x, a_norm, adjacency = self.make()
-        x_pool, _, _, _ = pool(x, a_norm, adjacency)
+        pool, x, a_norm = self.make()
+        x_pool, _ = pool(x, a_norm)
         x_pool.pow(2.0).sum().backward()
         assert x.grad is not None
         assert np.linalg.norm(x.grad) > 0
@@ -71,9 +64,9 @@ class TestSAGPool:
 
     def test_selection_follows_scores(self):
         """Nodes with the largest attention scores must be the kept ones."""
-        pool, x, a_norm, adjacency = self.make(n=6)
+        pool, x, a_norm = self.make(n=6)
         scores = pool.score_layer(x, a_norm).reshape(6).data
-        _, _, _, kept = pool(x, a_norm, adjacency)
+        _, kept = pool(x, a_norm)
         expected = np.sort(np.argsort(-scores)[:3])
         np.testing.assert_array_equal(kept, expected)
 
