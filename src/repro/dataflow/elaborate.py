@@ -7,13 +7,12 @@ are substituted by their constant values, and port connections become
 continuous assignments.
 """
 
-import copy
-
 from repro.errors import ElaborationError
 from repro.dataflow.consteval import evaluate_const, try_evaluate_const
 from repro.verilog import ast_nodes as ast
 
 _MAX_DEPTH = 64
+_NO_MAPPING = {}
 
 
 def rewrite_expr(expr, mapping):
@@ -21,7 +20,8 @@ def rewrite_expr(expr, mapping):
 
     ``mapping`` maps identifier names to replacement *expressions*.  Names
     absent from the mapping are kept (they are either globals like constants
-    or an error caught later).
+    or an error caught later).  Every node of the result is new: each use
+    of a replacement gets its own structural copy.
     """
     if expr is None:
         return None
@@ -29,9 +29,13 @@ def rewrite_expr(expr, mapping):
         replacement = mapping.get(expr.name)
         if replacement is None:
             return ast.Identifier(expr.name)
-        return copy.deepcopy(replacement)
-    if isinstance(expr, (ast.IntConst, ast.BasedConst, ast.StringConst)):
-        return copy.deepcopy(expr)
+        return rewrite_expr(replacement, _NO_MAPPING)
+    if isinstance(expr, ast.IntConst):
+        return ast.IntConst(expr.value)
+    if isinstance(expr, ast.BasedConst):
+        return ast.BasedConst(expr.width, expr.base, expr.digits)
+    if isinstance(expr, ast.StringConst):
+        return ast.StringConst(expr.value)
     if isinstance(expr, ast.UnaryOp):
         return ast.UnaryOp(expr.op, rewrite_expr(expr.operand, mapping))
     if isinstance(expr, ast.BinaryOp):

@@ -17,8 +17,12 @@ from repro.verilog.writer import write_expr, write_module, write_source
 
 def parse_source(text, include_dirs=(), defines=None, include_sources=None):
     """Preprocess and parse Verilog text in one step."""
-    cleaned = preprocess(text, include_dirs=include_dirs, defines=defines,
-                         include_sources=include_sources)
+    cleaned = preprocess(
+        text,
+        include_dirs=include_dirs,
+        defines=defines,
+        include_sources=include_sources,
+    )
     return parse(cleaned)
 
 

@@ -1,10 +1,21 @@
-"""Hand-written lexer for the synthesizable Verilog subset.
+"""Lexer for the synthesizable Verilog subset.
 
-The lexer is a straightforward single-pass scanner.  It assumes comments and
-compiler directives have already been handled by
-:mod:`repro.verilog.preprocess`; stray block comments are still tolerated so
-the lexer can also be used standalone on clean snippets.
+One compiled master regular expression scans the text left to right with
+:meth:`re.Pattern.finditer`.  It skips whitespace and comments and matches
+identifiers and keywords, based and plain numbers, strings, escaped
+identifiers and operators (longest first).  Lines and columns come from a
+binary search over the line start offsets.  Where no token can start, a
+small diagnosis step raises the :class:`~repro.errors.LexerError` that fits:
+an unterminated comment or string, a stray directive, a malformed based
+literal, an empty escaped identifier or an unexpected character.
+
+Comments and compiler directives are normally removed first by
+:mod:`repro.verilog.preprocess`; the lexer still skips comments so it can
+also be used standalone on clean snippets.
 """
+
+import re
+from bisect import bisect_right
 
 from repro.errors import LexerError
 from repro.verilog.tokens import (
@@ -21,13 +32,33 @@ from repro.verilog.tokens import (
     Token,
 )
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-)
-_IDENT_CONT = _IDENT_START | frozenset("0123456789$")
-_DIGITS = frozenset("0123456789")
 _BASE_CHARS = frozenset("bBoOdDhH")
-_BASED_DIGITS = frozenset("0123456789abcdefABCDEFxXzZ?_")
+
+_SINGLE_CHARS = "".join(sorted(SINGLE_CHAR_OPERATORS - {"/"}))
+#: Longest operators first; a "/" that opens an unterminated block comment
+#: is an error, not an operator.
+_OPERATOR = "|".join(
+    [re.escape(op) for op in sorted(MULTI_CHAR_OPERATORS, key=len, reverse=True)]
+    + [r"/(?!\*)", f"[{re.escape(_SINGLE_CHARS)}]"]
+)
+
+#: One match per token: whitespace and comments, then the first token
+#: alternative that fits.  ``eof`` matches once only the skippable rest is
+#: left, ``bad`` at the first character no token can start with.
+_SCAN = re.compile(
+    r"(?:[ \t\r\f\n]+|//[^\n]*|/\*[\s\S]*?\*/)*"
+    r"(?:(?P<word>[A-Za-z_$][A-Za-z0-9_$]*)"
+    rf"|(?P<punct>{_OPERATOR})"
+    r"|(?P<based>(?:[0-9][0-9_]*)?'[sS]?[bBoOdDhH][0-9a-fA-FxXzZ?_]+)"
+    r"|(?P<number>[0-9][0-9_]*)"
+    r'|(?P<string>"[^"\n]*")'
+    r"|(?P<escaped>\\\S+)"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>[\s\S]))"
+)
+_NEWLINE = re.compile("\n")
+#: Builds a :class:`Token` without the Python-level ``NamedTuple.__new__``.
+_new_token = tuple.__new__
 
 
 class Lexer:
@@ -40,168 +71,72 @@ class Lexer:
 
     def __init__(self, text):
         self._text = text
-        self._pos = 0
-        self._line = 1
-        self._line_start = 0
 
     def tokenize(self):
         """Return the full token list, terminated by a single EOF token."""
-        tokens = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind == EOF:
-                return tokens
-
-    # ------------------------------------------------------------------
-    def _column(self):
-        return self._pos - self._line_start + 1
-
-    def _error(self, message):
-        raise LexerError(message, line=self._line, column=self._column())
-
-    def _peek(self, offset=0):
-        index = self._pos + offset
-        if index < len(self._text):
-            return self._text[index]
-        return ""
-
-    def _advance_line(self):
-        self._line += 1
-        self._line_start = self._pos
-
-    def _skip_whitespace_and_comments(self):
-        text = self._text
-        while self._pos < len(text):
-            char = text[self._pos]
-            if char == "\n":
-                self._pos += 1
-                self._advance_line()
-            elif char in " \t\r\f":
-                self._pos += 1
-            elif char == "/" and self._peek(1) == "/":
-                while self._pos < len(text) and text[self._pos] != "\n":
-                    self._pos += 1
-            elif char == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-            else:
-                return
-
-    def _skip_block_comment(self):
-        text = self._text
-        self._pos += 2
-        while self._pos < len(text):
-            if text[self._pos] == "\n":
-                self._pos += 1
-                self._advance_line()
-            elif text[self._pos] == "*" and self._peek(1) == "/":
-                self._pos += 2
-                return
-            else:
-                self._pos += 1
-        self._error("unterminated block comment")
-
-    # ------------------------------------------------------------------
-    def _next_token(self):
-        self._skip_whitespace_and_comments()
-        if self._pos >= len(self._text):
-            return Token(EOF, "", self._line, self._column())
-
-        char = self._text[self._pos]
-        if char in _IDENT_START or char == "$":
-            return self._lex_identifier()
-        if char in _DIGITS:
-            return self._lex_number()
-        if char == "'":
-            return self._lex_based_number(size_text="")
-        if char == '"':
-            return self._lex_string()
-        if char == "\\":
-            return self._lex_escaped_identifier()
-        if char == "`":
-            self._error("stray compiler directive (run the preprocessor first)")
-        return self._lex_operator()
-
-    def _lex_identifier(self):
-        line, column = self._line, self._column()
-        start = self._pos
-        text = self._text
-        while self._pos < len(text) and text[self._pos] in _IDENT_CONT:
-            self._pos += 1
-        word = text[start:self._pos]
-        kind = KEYWORD if word in KEYWORDS else IDENT
-        return Token(kind, word, line, column)
-
-    def _lex_escaped_identifier(self):
-        line, column = self._line, self._column()
-        self._pos += 1
-        start = self._pos
-        text = self._text
-        while self._pos < len(text) and not text[self._pos].isspace():
-            self._pos += 1
-        word = text[start:self._pos]
-        if not word:
-            self._error("empty escaped identifier")
-        return Token(IDENT, word, line, column)
-
-    def _lex_number(self):
-        line, column = self._line, self._column()
-        start = self._pos
-        text = self._text
-        while self._pos < len(text) and text[self._pos] in _DIGITS | {"_"}:
-            self._pos += 1
-        size_text = text[start:self._pos]
-        if self._peek() == "'":
-            return self._lex_based_number(size_text, line, column)
-        return Token(NUMBER, size_text.replace("_", ""), line, column)
-
-    def _lex_based_number(self, size_text, line=None, column=None):
-        if line is None:
-            line, column = self._line, self._column()
-        text = self._text
-        start = self._pos
-        self._pos += 1  # consume the apostrophe
-        if self._peek() in "sS":
-            self._pos += 1
-        if self._peek() not in _BASE_CHARS:
-            self._error(f"invalid base character {self._peek()!r} in literal")
-        self._pos += 1
-        digit_start = self._pos
-        while self._pos < len(text) and text[self._pos] in _BASED_DIGITS:
-            self._pos += 1
-        if self._pos == digit_start:
-            self._error("based literal has no digits")
-        value = size_text + text[start:self._pos]
-        return Token(BASED_NUMBER, value, line, column)
-
-    def _lex_string(self):
-        line, column = self._line, self._column()
-        text = self._text
-        self._pos += 1
-        start = self._pos
-        while self._pos < len(text) and text[self._pos] != '"':
-            if text[self._pos] == "\n":
-                self._error("unterminated string literal")
-            self._pos += 1
-        if self._pos >= len(text):
-            self._error("unterminated string literal")
-        value = text[start:self._pos]
-        self._pos += 1
-        return Token(STRING, value, line, column)
-
-    def _lex_operator(self):
-        line, column = self._line, self._column()
-        for op in MULTI_CHAR_OPERATORS:
-            if self._text.startswith(op, self._pos):
-                self._pos += len(op)
-                return Token(PUNCT, op, line, column)
-        char = self._text[self._pos]
-        if char in SINGLE_CHAR_OPERATORS:
-            self._pos += 1
-            return Token(PUNCT, char, line, column)
-        self._error(f"unexpected character {char!r}")
+        return tokenize(self._text)
 
 
 def tokenize(text):
-    """Convenience wrapper: lex ``text`` and return the token list."""
-    return Lexer(text).tokenize()
+    """Lex ``text`` and return the token list, terminated by one EOF token."""
+    line_starts = [0]
+    line_starts.extend(match.end() for match in _NEWLINE.finditer(text))
+    line_starts.append(len(text) + 1)  # sentinel: the line after the last
+    line, line_start, next_start = 1, 0, line_starts[1]
+    tokens = []
+    append = tokens.append
+    for match in _SCAN.finditer(text):
+        group = match.lastgroup
+        start = match.start(group)
+        if start >= next_start:
+            line = bisect_right(line_starts, start)
+            line_start, next_start = line_starts[line - 1], line_starts[line]
+        column = start - line_start + 1
+        if group == "word":
+            value = match.group(group)
+            kind = KEYWORD if value in KEYWORDS else IDENT
+            append(_new_token(Token, (kind, value, line, column)))
+        elif group == "punct":
+            append(_new_token(Token, (PUNCT, match.group(group), line, column)))
+        elif group == "number":
+            value = match.group(group).replace("_", "")
+            append(_new_token(Token, (NUMBER, value, line, column)))
+        elif group == "based":
+            append(_new_token(Token, (BASED_NUMBER, match.group(group), line, column)))
+        elif group == "string":
+            value = match.group(group)[1:-1]
+            append(_new_token(Token, (STRING, value, line, column)))
+        elif group == "escaped":
+            append(_new_token(Token, (IDENT, match.group(group)[1:], line, column)))
+        elif group == "eof":
+            append(_new_token(Token, (EOF, "", line, column)))
+            return tokens
+        else:
+            _diagnose(text, start, line_starts)
+
+
+def _diagnose(text, pos, line_starts):
+    """Raise the :class:`LexerError` for ``text[pos]``, where no token starts."""
+    char = text[pos]
+    if text.startswith("/*", pos):
+        message, pos = "unterminated block comment", len(text)
+    elif char == '"':
+        end = text.find("\n", pos)
+        message, pos = "unterminated string literal", end if end >= 0 else len(text)
+    elif char == "'":
+        pos += 1
+        if text[pos : pos + 1] in ("s", "S"):
+            pos += 1
+        base = text[pos : pos + 1]
+        if base in _BASE_CHARS:
+            message, pos = "based literal has no digits", pos + 1
+        else:
+            message = f"invalid base character {base!r} in literal"
+    elif char == "\\":
+        message, pos = "empty escaped identifier", pos + 1
+    elif char == "`":
+        message = "stray compiler directive (run the preprocessor first)"
+    else:
+        message = f"unexpected character {char!r}"
+    line = bisect_right(line_starts, pos)
+    raise LexerError(message, line=line, column=pos - line_starts[line - 1] + 1)

@@ -28,13 +28,27 @@ _BINARY_PRECEDENCE = {
     "||": 1,
     "&&": 2,
     "|": 3,
-    "^": 4, "^~": 4, "~^": 4,
+    "^": 4,
+    "^~": 4,
+    "~^": 4,
     "&": 5,
-    "==": 6, "!=": 6, "===": 6, "!==": 6,
-    "<": 7, "<=": 7, ">": 7, ">=": 7,
-    "<<": 8, ">>": 8, "<<<": 8, ">>>": 8,
-    "+": 9, "-": 9,
-    "*": 10, "/": 10, "%": 10,
+    "==": 6,
+    "!=": 6,
+    "===": 6,
+    "!==": 6,
+    "<": 7,
+    "<=": 7,
+    ">": 7,
+    ">=": 7,
+    "<<": 8,
+    ">>": 8,
+    "<<<": 8,
+    ">>>": 8,
+    "+": 9,
+    "-": 9,
+    "*": 10,
+    "/": 10,
+    "%": 10,
     "**": 11,
 }
 
@@ -50,9 +64,10 @@ class Parser:
         self._pos = 0
 
     # -- token helpers --------------------------------------------------
-    def _peek(self, offset=0):
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    # The position never passes the final EOF token, so these index the
+    # token list directly.
+    def _peek(self):
+        return self._tokens[self._pos]
 
     def _advance(self):
         token = self._tokens[self._pos]
@@ -61,23 +76,26 @@ class Parser:
         return token
 
     def _check(self, kind, value=None):
-        token = self._peek()
-        if token.kind != kind:
-            return False
-        return value is None or token.value == value
+        token = self._tokens[self._pos]
+        return token.kind == kind and (value is None or token.value == value)
 
     def _accept(self, kind, value=None):
-        if self._check(kind, value):
-            return self._advance()
-        return None
+        token = self._tokens[self._pos]
+        if token.kind != kind or (value is not None and token.value != value):
+            return None
+        if kind != EOF:
+            self._pos += 1
+        return token
 
     def _expect(self, kind, value=None):
-        token = self._peek()
-        if not self._check(kind, value):
+        token = self._accept(kind, value)
+        if token is None:
+            token = self._tokens[self._pos]
             wanted = value if value is not None else kind
             raise ParseError(
-                f"expected {wanted!r}, found {token.value!r}", line=token.line)
-        return self._advance()
+                f"expected {wanted!r}, found {token.value!r}", line=token.line
+            )
+        return token
 
     def _error(self, message):
         raise ParseError(message, line=self._peek().line)
@@ -110,8 +128,9 @@ class Parser:
             elif item is not None:
                 items.append(item)
         self._expect(KEYWORD, "endmodule")
-        module = ast.Module(name=name, ports=ports, items=items,
-                            params=params, line=start.line)
+        module = ast.Module(
+            name=name, ports=ports, items=items, params=params, line=start.line
+        )
         _merge_port_declarations(module)
         return module
 
@@ -153,8 +172,7 @@ class Parser:
                 self._advance()
                 width = self._parse_optional_width() or width
             name = self._expect(IDENT).value
-            ports.append(ast.Port(name=name, direction=direction, width=width,
-                                  is_reg=is_reg, signed=signed))
+            ports.append(ast.Port(name, direction, width, is_reg, signed))
             if not self._accept(PUNCT, ","):
                 break
         self._expect(PUNCT, ")")
@@ -203,8 +221,7 @@ class Parser:
         ports = []
         while True:
             name = self._expect(IDENT).value
-            ports.append(ast.Port(name=name, direction=direction, width=width,
-                                  is_reg=is_reg, signed=signed))
+            ports.append(ast.Port(name, direction, width, is_reg, signed))
             if not self._accept(PUNCT, ","):
                 break
         self._expect(PUNCT, ";")
@@ -223,13 +240,11 @@ class Parser:
             if self._accept(PUNCT, "="):
                 # net declaration assignment: wire x = a & b;
                 rhs = self._parse_expression()
-                assigns.append(ast.Assign(lhs=ast.Identifier(name), rhs=rhs,
-                                          line=token.line))
+                assigns.append(ast.Assign(ast.Identifier(name), rhs, token.line))
             if not self._accept(PUNCT, ","):
                 break
         self._expect(PUNCT, ";")
-        decl = ast.NetDecl(kind=kind, names=names, width=width, signed=signed,
-                           line=token.line)
+        decl = ast.NetDecl(kind, names, width, signed, token.line)
         return [decl] + assigns if assigns else decl
 
     def _parse_param_declaration(self):
@@ -240,8 +255,7 @@ class Parser:
             name = self._expect(IDENT).value
             self._expect(PUNCT, "=")
             value = self._parse_expression()
-            decls.append(ast.ParamDecl(name=name, value=value, local=local,
-                                       width=width))
+            decls.append(ast.ParamDecl(name, value, local, width))
             if not self._accept(PUNCT, ","):
                 break
         self._expect(PUNCT, ";")
@@ -273,8 +287,7 @@ class Parser:
                 else:
                     sens_list = self._parse_sensitivity_list()
         statement = self._parse_statement()
-        return ast.Always(sens_list=sens_list, statement=statement,
-                          line=token.line)
+        return ast.Always(sens_list=sens_list, statement=statement, line=token.line)
 
     def _parse_sensitivity_list(self):
         items = []
@@ -308,8 +321,7 @@ class Parser:
             while self._accept(PUNCT, ","):
                 args.append(self._parse_expression())
             self._expect(PUNCT, ")")
-            instances.append(ast.GateInstance(gate=gate, name=name, args=args,
-                                              line=token.line))
+            instances.append(ast.GateInstance(gate, name, args, token.line))
             index += 1
             if not self._accept(PUNCT, ","):
                 break
@@ -332,9 +344,10 @@ class Parser:
             if not self._check(PUNCT, ")"):
                 connections = self._parse_connection_list()
             self._expect(PUNCT, ")")
-            instances.append(ast.ModuleInstance(
-                module=module_name, name=inst_name, connections=connections,
-                param_overrides=list(param_overrides), line=token.line))
+            instance = ast.ModuleInstance(
+                module_name, inst_name, connections, list(param_overrides), token.line
+            )
+            instances.append(instance)
             if not self._accept(PUNCT, ","):
                 break
         self._expect(PUNCT, ";")
@@ -354,7 +367,8 @@ class Parser:
                 connections.append(ast.PortConnection(port=port, expr=expr))
             else:
                 connections.append(
-                    ast.PortConnection(port=None, expr=self._parse_expression()))
+                    ast.PortConnection(port=None, expr=self._parse_expression())
+                )
             if not self._accept(PUNCT, ","):
                 break
         return connections
@@ -411,15 +425,13 @@ class Parser:
                 self._error("unterminated case statement")
             if self._accept(KEYWORD, "default"):
                 self._accept(PUNCT, ":")
-                items.append(ast.CaseItem(patterns=[],
-                                          statement=self._parse_statement()))
+                items.append(ast.CaseItem([], self._parse_statement()))
                 continue
             patterns = [self._parse_expression()]
             while self._accept(PUNCT, ","):
                 patterns.append(self._parse_expression())
             self._expect(PUNCT, ":")
-            items.append(ast.CaseItem(patterns=patterns,
-                                      statement=self._parse_statement()))
+            items.append(ast.CaseItem(patterns, self._parse_statement()))
         self._expect(KEYWORD, "endcase")
         return ast.Case(expr=expr, items=items, kind=kind)
 
@@ -470,8 +482,7 @@ class Parser:
             true_value = self._parse_expression()
             self._expect(PUNCT, ":")
             false_value = self._parse_expression()
-            return ast.Ternary(cond=cond, true_value=true_value,
-                               false_value=false_value)
+            return ast.Ternary(cond, true_value, false_value)
         return cond
 
     def _parse_binary(self, min_precedence):
@@ -556,8 +567,7 @@ class Parser:
                 mode = self._advance().value
                 second = self._parse_expression()
                 self._expect(PUNCT, "]")
-                expr = ast.PartSelect(base=expr, left=first, right=second,
-                                      mode=mode)
+                expr = ast.PartSelect(base=expr, left=first, right=second, mode=mode)
             else:
                 self._expect(PUNCT, "]")
                 expr = ast.BitSelect(base=expr, index=first)
@@ -576,7 +586,8 @@ class Parser:
 def _parse_based_literal(text):
     """Convert lexer text like ``8'hFF`` into a :class:`BasedConst`."""
     size_text, _, rest = text.partition("'")
-    rest = rest.lstrip("sS") if rest[:1] in "sS" else rest
+    if rest[:1] in ("s", "S"):
+        rest = rest[1:]
     base = rest[0].lower()
     digits = rest[1:]
     width = int(size_text.replace("_", "")) if size_text else None
@@ -617,6 +628,5 @@ def parse_module(text):
     """Parse text expected to contain exactly one module; return it."""
     source = parse(text)
     if len(source.modules) != 1:
-        raise ParseError(
-            f"expected exactly one module, found {len(source.modules)}")
+        raise ParseError(f"expected exactly one module, found {len(source.modules)}")
     return source.modules[0]

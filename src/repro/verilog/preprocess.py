@@ -13,46 +13,40 @@ from repro.errors import PreprocessorError
 _DIRECTIVE_RE = re.compile(r"^\s*`(\w+)\s*(.*)$")
 _MACRO_USE_RE = re.compile(r"`(\w+)")
 #: Directives that are simply dropped — they carry no dataflow information.
-_IGNORED_DIRECTIVES = frozenset({
-    "timescale", "default_nettype", "celldefine", "endcelldefine",
-    "resetall", "line", "pragma",
-})
+_IGNORED_DIRECTIVES = frozenset(
+    "timescale default_nettype celldefine endcelldefine resetall line pragma".split()
+)
 _MAX_MACRO_DEPTH = 32
+#: Line comment, block comment, string literal (kept: a ``//`` inside it is
+#: text), then the openers of an unterminated block comment or string.
+_COMMENT_RE = re.compile(r'//[^\n]*|/\*[\s\S]*?\*/|"[^"\n]*"|/\*|"')
+
+
+def _replace_comment(match):
+    found = match.group()
+    if found[0] == '"':
+        if len(found) == 1:
+            raise PreprocessorError("unterminated string literal")
+        return found
+    if found[1] == "/":
+        return ""
+    if len(found) == 2:
+        raise PreprocessorError("unterminated block comment")
+    return "\n" * found.count("\n")
 
 
 def strip_comments(text):
     """Remove ``//`` and ``/* */`` comments, preserving line structure.
 
-    Block comments are replaced by an equivalent number of newlines so that
-    line numbers in later error messages stay accurate.
+    One :func:`re.sub` pass.  Block comments are replaced by an equivalent
+    number of newlines so that line numbers in later error messages stay
+    accurate; string literals are kept as they are.
+
+    Raises:
+        PreprocessorError: for a block comment or a string literal left
+            open at the end of its line (strings) or of the text.
     """
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        char = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if char == "/" and nxt == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif char == "/" and nxt == "*":
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise PreprocessorError("unterminated block comment")
-            out.append("\n" * text.count("\n", i, end))
-            i = end + 2
-        elif char == '"':
-            end = i + 1
-            while end < n and text[end] != '"':
-                if text[end] == "\n":
-                    raise PreprocessorError("unterminated string literal")
-                end += 1
-            out.append(text[i:end + 1])
-            i = end + 1
-        else:
-            out.append(char)
-            i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_replace_comment, text)
 
 
 class Preprocessor:
@@ -78,8 +72,8 @@ class Preprocessor:
 
     def process(self, text):
         """Return preprocessed source for ``text``."""
-        return "\n".join(self._process_lines(strip_comments(text).split("\n"),
-                                             depth=0))
+        lines = strip_comments(text).split("\n")
+        return "\n".join(self._process_lines(lines, depth=0))
 
     def process_file(self, path):
         """Read ``path`` and preprocess its contents."""
@@ -98,7 +92,8 @@ class Preprocessor:
             if match:
                 name, rest = match.group(1), match.group(2).strip()
                 handled = self._handle_directive(
-                    name, rest, output, cond_stack, taken_stack, depth)
+                    name, rest, output, cond_stack, taken_stack, depth
+                )
                 if handled:
                     continue
             if all(cond_stack):
@@ -109,8 +104,7 @@ class Preprocessor:
             raise PreprocessorError("unterminated `ifdef")
         return output
 
-    def _handle_directive(self, name, rest, output, cond_stack, taken_stack,
-                          depth):
+    def _handle_directive(self, name, rest, output, cond_stack, taken_stack, depth):
         """Process one directive line; returns False for macro-use lines."""
         active = all(cond_stack)
         if name == "ifdef":
@@ -125,8 +119,12 @@ class Preprocessor:
             if not cond_stack:
                 raise PreprocessorError("`elsif without `ifdef")
             parent_active = all(cond_stack[:-1])
-            cond = (parent_active and not taken_stack[-1]
-                    and bool(rest) and rest.split()[0] in self._defines)
+            cond = (
+                parent_active
+                and not taken_stack[-1]
+                and bool(rest)
+                and rest.split()[0] in self._defines
+            )
             cond_stack[-1] = cond
             taken_stack[-1] = taken_stack[-1] or cond
         elif name == "else":
@@ -161,8 +159,7 @@ class Preprocessor:
             raise PreprocessorError("`define without a macro name")
         name = parts[0]
         if "(" in name:
-            raise PreprocessorError(
-                f"function-like macro {name!r} is not supported")
+            raise PreprocessorError(f"function-like macro {name!r} is not supported")
         self._defines[name] = parts[1].strip() if len(parts) > 1 else ""
 
     def _handle_include(self, rest, depth):
@@ -203,6 +200,7 @@ class Preprocessor:
 
 def preprocess(text, include_dirs=(), defines=None, include_sources=None):
     """One-shot convenience wrapper around :class:`Preprocessor`."""
-    processor = Preprocessor(include_dirs=include_dirs, defines=defines,
-                             include_sources=include_sources)
+    processor = Preprocessor(
+        include_dirs=include_dirs, defines=defines, include_sources=include_sources
+    )
     return processor.process(text)

@@ -5,48 +5,42 @@ plain strings (an enum would buy little here and cost verbosity at every
 comparison site in the parser).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Token kinds ---------------------------------------------------------------
 IDENT = "IDENT"
-NUMBER = "NUMBER"          # plain decimal literal, e.g. 42
-BASED_NUMBER = "BASED"     # sized/based literal, e.g. 8'hFF, 'b0101
+NUMBER = "NUMBER"  # plain decimal literal, e.g. 42
+BASED_NUMBER = "BASED"  # sized/based literal, e.g. 8'hFF, 'b0101
 STRING = "STRING"
 KEYWORD = "KEYWORD"
-PUNCT = "PUNCT"            # operators and punctuation
+PUNCT = "PUNCT"  # operators and punctuation
 EOF = "EOF"
 
 #: Verilog-2001 keywords in the synthesizable subset we accept.  Keeping the
 #: set tight means misuse fails loudly at parse time instead of silently.
-KEYWORDS = frozenset({
-    "module", "endmodule", "input", "output", "inout", "wire", "reg",
-    "integer", "real", "parameter", "localparam", "assign", "always",
-    "initial", "begin", "end", "if", "else", "case", "casez", "casex",
-    "endcase", "default", "for", "while", "posedge", "negedge", "or",
-    "and", "nand", "nor", "xor", "xnor", "not", "buf", "signed",
-    "function", "endfunction", "generate", "endgenerate", "genvar",
-    "supply0", "supply1",
-})
+KEYWORDS = frozenset(
+    (
+        "module endmodule input output inout wire reg integer real parameter "
+        "localparam assign always initial begin end if else case casez casex "
+        "endcase default for while posedge negedge or and nand nor xor xnor not "
+        "buf signed function endfunction generate endgenerate genvar supply0 supply1"
+    ).split()
+)
 
 #: Gate primitive keywords (subset of KEYWORDS) recognised as instantiations.
-GATE_PRIMITIVES = frozenset({
-    "and", "nand", "or", "nor", "xor", "xnor", "not", "buf",
-})
+GATE_PRIMITIVES = frozenset("and nand or nor xor xnor not buf".split())
 
 #: Multi-character operators, longest first so the lexer can match greedily.
-MULTI_CHAR_OPERATORS = (
-    "<<<", ">>>", "===", "!==",
-    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "~&", "~|", "~^", "^~",
-    "**", "+:", "-:",
+MULTI_CHAR_OPERATORS = tuple(
+    "<<< >>> === !== << >> <= >= == != && || ~& ~| ~^ ^~ ** +: -:".split()
 )
 
 #: Single-character operators / punctuation.
 SINGLE_CHAR_OPERATORS = frozenset("+-*/%<>!&|^~?:=.,;#@(){}[]")
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single, immutable lexical token.
 
     Attributes:
         kind: one of the module-level kind constants.

@@ -20,7 +20,8 @@ def write_module(module):
     header = f"module {module.name}"
     if module.params:
         params = ", ".join(
-            f"parameter {p.name} = {write_expr(p.value)}" for p in module.params)
+            f"parameter {p.name} = {write_expr(p.value)}" for p in module.params
+        )
         header += f" #({params})"
     ports = ", ".join(_port_text(port) for port in module.ports)
     header += f" ({ports});"
@@ -160,8 +161,10 @@ def write_expr(expr):
     if isinstance(expr, ast.BinaryOp):
         return f"({write_expr(expr.left)} {expr.op} {write_expr(expr.right)})"
     if isinstance(expr, ast.Ternary):
-        return (f"({write_expr(expr.cond)} ? {write_expr(expr.true_value)}"
-                f" : {write_expr(expr.false_value)})")
+        return (
+            f"({write_expr(expr.cond)} ? {write_expr(expr.true_value)}"
+            f" : {write_expr(expr.false_value)})"
+        )
     if isinstance(expr, ast.Concat):
         return "{" + ", ".join(write_expr(p) for p in expr.parts) + "}"
     if isinstance(expr, ast.Repeat):
@@ -170,10 +173,14 @@ def write_expr(expr):
         return f"{write_expr(expr.base)}[{write_expr(expr.index)}]"
     if isinstance(expr, ast.PartSelect):
         if expr.mode == ":":
-            return (f"{write_expr(expr.base)}"
-                    f"[{write_expr(expr.left)}:{write_expr(expr.right)}]")
-        return (f"{write_expr(expr.base)}"
-                f"[{write_expr(expr.left)} {expr.mode} {write_expr(expr.right)}]")
+            return (
+                f"{write_expr(expr.base)}"
+                f"[{write_expr(expr.left)}:{write_expr(expr.right)}]"
+            )
+        return (
+            f"{write_expr(expr.base)}"
+            f"[{write_expr(expr.left)} {expr.mode} {write_expr(expr.right)}]"
+        )
     if isinstance(expr, ast.FunctionCall):
         args = ", ".join(write_expr(a) for a in expr.args)
         return f"{expr.name}({args})"

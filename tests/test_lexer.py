@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import LexerError
-from repro.verilog.lexer import tokenize
+from repro.verilog.lexer import Lexer, tokenize
 from repro.verilog.tokens import (
     BASED_NUMBER,
     EOF,
@@ -12,6 +12,7 @@ from repro.verilog.tokens import (
     NUMBER,
     PUNCT,
     STRING,
+    Token,
 )
 
 
@@ -111,6 +112,18 @@ class TestCommentsAndWhitespace:
         with pytest.raises(LexerError):
             tokenize("a /* never closed")
 
+    def test_unterminated_block_comment_is_not_operators(self):
+        # "/" and "*" are operators on their own; an open "/*" is not.
+        assert values("a / * b") == ["a", "/", "*", "b"]
+        with pytest.raises(LexerError) as excinfo:
+            tokenize("a = b /* open\n  c;")
+        assert str(excinfo.value) == \
+            "unterminated block comment at line 2, column 5"
+
+    def test_block_comment_opener_is_not_its_closer(self):
+        with pytest.raises(LexerError, match="unterminated block comment"):
+            tokenize("/*/ a")
+
     def test_line_numbers_tracked(self):
         tokens = tokenize("a\nb\n  c")
         assert tokens[0].line == 1
@@ -144,6 +157,55 @@ class TestErrors:
         with pytest.raises(LexerError) as excinfo:
             tokenize("ab\ncd \x02")
         assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize("text, column", [("8'", 3), ("'", 2),
+                                               ("a = 16'", 8), ("8's", 4)])
+    def test_based_literal_cut_after_apostrophe(self, text, column):
+        # The missing base is reported just past the apostrophe (or the
+        # sign), not one column further as if a sign had been read.
+        with pytest.raises(LexerError) as excinfo:
+            tokenize(text)
+        assert "invalid base character '' in literal" in str(excinfo.value)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        ('x = "open\ny', "unterminated string literal", 1, 10),
+        ("\\ x", "empty escaped identifier", 1, 2),
+        ("a\n `define", "stray compiler directive (run the preprocessor "
+         "first)", 2, 2),
+        ("4'q1", "invalid base character 'q' in literal", 1, 3),
+        ("4'sh", "based literal has no digits", 1, 5),
+        ("a \v b", "unexpected character '\\x0b'", 1, 3),
+    ])
+    def test_error_message_and_location(self, text, message, line, column):
+        with pytest.raises(LexerError) as excinfo:
+            tokenize(text)
+        assert str(excinfo.value) == \
+            f"{message} at line {line}, column {column}"
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+    def test_eof_token_after_trailing_comment(self):
+        eof = tokenize("a // tail\n/* x\n*/ ")[-1]
+        assert (eof.kind, eof.line, eof.column) == (EOF, 3, 4)
+
+
+class TestTokenContract:
+    def test_immutable(self):
+        token = tokenize("wire")[0]
+        with pytest.raises(AttributeError):
+            token.value = "reg"
+
+    def test_compares_by_field(self):
+        assert tokenize("wire")[0] == Token(KEYWORD, "wire", 1, 1)
+        assert tokenize(" wire")[0] != Token(KEYWORD, "wire", 1, 1)
+        assert hash(Token(IDENT, "a", 2, 3)) == hash(Token(IDENT, "a", 2, 3))
+
+    def test_repr(self):
+        assert repr(Token(IDENT, "a", 2, 3)) == "Token(IDENT, 'a', L2)"
+
+    def test_lexer_class_wraps_tokenize(self):
+        text = "module m; endmodule"
+        assert Lexer(text).tokenize() == tokenize(text)
 
 
 class TestRealisticSnippets:

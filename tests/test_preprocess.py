@@ -23,6 +23,21 @@ class TestStripComments:
         with pytest.raises(PreprocessorError):
             strip_comments("/* open")
 
+    @pytest.mark.parametrize("text", ['wire a = "ab\n;', 'wire a = "ab'])
+    def test_unterminated_string_raises(self, text):
+        # At the end of a line and at the end of the file alike.
+        with pytest.raises(PreprocessorError,
+                           match="unterminated string literal"):
+            strip_comments(text)
+
+    def test_unterminated_string_at_eof_fails_in_preprocess(self):
+        with pytest.raises(PreprocessorError):
+            preprocess('module m;\nparameter P = "ab')
+
+    def test_block_comment_newlines_kept_and_strings_untouched(self):
+        text = 'a /* 1\n2 */ "/* s */" // c\n/**/b'
+        assert strip_comments(text) == 'a \n "/* s */" \nb'
+
 
 class TestDefine:
     def test_simple_define_expansion(self):
