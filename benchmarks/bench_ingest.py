@@ -5,10 +5,12 @@ enforced (see ``repro.index.ingest``):
 
 - **Flat peak memory** — streaming ingest flushes embedding rows to
   shards in bounded batches instead of holding every graph until the
-  end, so its peak RSS must stay under half of the one-shot
-  ``build_index`` peak *or* under an absolute cap (at reduced corpus
-  sizes the interpreter baseline dominates both numbers and the ratio
-  is meaningless; at ``REPRO_BENCH_FULL=1`` scale the ratio bites).
+  end, so its peak RSS must stay under half of a one-shot build's peak
+  *or* under an absolute cap (at reduced corpus sizes the interpreter
+  baseline dominates both numbers and the ratio is meaningless; at
+  ``REPRO_BENCH_FULL=1`` scale the ratio bites).  The one-shot build is
+  the reference kept in this file: extract every graph, chunk it, embed
+  everything in one batched pass, write one shard.
 - **Worker scaling** — with >= 4 usable cores, multi-worker ingest must
   embed at >= 2x the single-worker rows/sec.  On smaller machines the
   multiprocess path still runs and the ratio is only reported.
@@ -55,9 +57,11 @@ SEED = 2
 #: Subprocess runner: performs one build or ingest and reports its own
 #: peak RSS + throughput as JSON on stdout.  RSS must be measured in a
 #: separate process per run — ru_maxrss is a process-lifetime high-water
-#: mark and never goes back down.
+#: mark and never goes back down.  ``build`` is the one-shot reference:
+#: it holds every graph and chunk until one batched embedding pass, then
+#: writes all rows as one shard (serial, no cache, like the ingest runs).
 RUNNER = """
-import json, resource, sys
+import json, resource, sys, time
 from pathlib import Path
 
 mode, root, listfile = sys.argv[1], sys.argv[2], sys.argv[3]
@@ -66,11 +70,26 @@ paths = json.loads(Path(listfile).read_text())
 
 from repro.core import GNN4IP
 if mode == "build":
-    from repro.index import build_index
-    index, rep = build_index(root, paths, GNN4IP(seed=seed), jobs=jobs,
-                             use_cache=False)
-    wall = rep["extract_seconds"] + rep["embed_seconds"]
-    rows = rep["embedded"] + rep["chunk_rows"]
+    from repro.index import ChunkConfig, EmbeddingService, extract_chunks
+    from repro.index.shards import unit_rows_f32, write_shard
+    from repro.ir.frontends import get_frontend
+
+    start = time.perf_counter()
+    frontend = get_frontend("rtl")
+    graphs = []
+    for path in paths:
+        try:
+            graphs.append(frontend.extract_file(path))
+        except Exception:
+            pass
+    chunks = [sub for graph in graphs
+              for sub, _ in extract_chunks(graph, ChunkConfig())]
+    unit = unit_rows_f32(EmbeddingService(GNN4IP(seed=seed))
+                         .embed_graphs(graphs + chunks))
+    Path(root).mkdir(parents=True, exist_ok=True)
+    write_shard(root, 0, unit)
+    wall = time.perf_counter() - start
+    rows, embedded = len(unit), len(graphs)
 else:
     from repro.index import IngestConfig, ingest_corpus
     index, rep = ingest_corpus(
@@ -78,11 +97,12 @@ else:
         IngestConfig(jobs=jobs, flush_rows=flush_rows, use_cache=False))
     wall = rep["ingest"]["wall_seconds"]
     rows = rep["ingest"]["session_rows"]
+    embedded = rep["embedded"]
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"peak_rss_mb": peak_kb / 1024.0,
                   "wall_seconds": wall, "rows": rows,
                   "rows_per_sec": rows / max(wall, 1e-9),
-                  "embedded": rep["embedded"]}))
+                  "embedded": embedded}))
 """
 
 #: Kill-and-resume victim: a plain streaming ingest the parent will

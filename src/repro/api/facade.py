@@ -51,8 +51,6 @@ from repro.index.store import (
     CACHE_DIR,
     FORMAT_VERSION,
     FingerprintIndex,
-    add_to_index,
-    build_index,
     migrate_index,
 )
 from repro.ir.frontends import get_frontend
@@ -312,42 +310,35 @@ class Corpus:
     def build(cls, root, paths, detector, config=None):
         """Build (or rebuild) an index; returns ``(corpus, report)``.
 
+        A ``fresh=True`` :meth:`ingest`: designs an index already at
+        ``root`` stores under the same model and options are copied,
+        everything else is extracted and embedded.
+
         Args:
             detector: a :class:`Detector` (or a bare
                 :class:`~repro.core.gnn4ip.GNN4IP`).
             config: an :class:`~repro.api.config.IndexConfig`.
         """
-        config = config if config is not None else IndexConfig()
-        model = detector.model if isinstance(detector, Detector) else detector
-        index, report = build_index(root, paths, model, jobs=config.jobs,
-                                    use_cache=config.use_cache,
-                                    top=config.top,
-                                    batch_size=config.batch_size,
-                                    level=config.level,
-                                    chunks=config.chunks,
-                                    chunk_config=config.chunk_config,
-                                    progress=config.progress)
-        return cls(index), report
+        return cls.ingest(root, paths, detector, config, fresh=True)
 
     @classmethod
     def ingest(cls, root, paths, detector=None, config=None, resume=True,
                fresh=False):
         """Streaming, resumable ingest; returns ``(corpus, report)``.
 
-        The production-scale alternative to :meth:`build`/:meth:`add`:
-        a multiprocess extract→chunk→embed worker pool, bounded-size
-        shard flushes (flat peak memory), and a durable checkpoint so a
-        killed ingest resumes exactly where it stopped — see
-        :func:`repro.index.ingest.ingest_corpus`.  With an existing
-        index at ``root`` and no checkpoint, new designs are appended in
-        place.
+        Every index write runs through here (see
+        :func:`repro.index.ingest.ingest_corpus`): a multiprocess
+        extract→chunk→embed worker pool, bounded-size shard flushes
+        (flat peak memory), and a durable checkpoint so a killed ingest
+        resumes exactly where it stopped.  With an existing index at
+        ``root`` and no checkpoint, new designs are appended in place.
 
         Args:
             detector: a :class:`Detector` (or bare
                 :class:`~repro.core.gnn4ip.GNN4IP`); required for a
                 fresh index, optional when resuming or appending (the
                 index's own model is the default).
-            config: an :class:`~repro.index.ingest.IngestConfig`.
+            config: an :class:`~repro.api.config.IndexConfig`.
             resume: pick up an existing checkpoint at ``root``.
             fresh: discard any checkpoint and existing index.
 
@@ -371,9 +362,14 @@ class Corpus:
         return cls(migrate_index(root))
 
     def add(self, paths, jobs=None, batch_size=64):
-        """Append designs in place (no re-embedding); returns the report."""
-        self._index, report = add_to_index(self.root, paths, jobs=jobs,
-                                           batch_size=batch_size)
+        """Append designs in place with the index's own model and
+        options; returns the ingest report.  Existing rows are never
+        rewritten, and content the index already stores is copied
+        rather than embedded again."""
+        self._index, report = ingest_corpus(
+            self.root, paths,
+            config=IndexConfig(jobs=jobs, batch_size=batch_size),
+            resume=False)
         return report
 
     # -- introspection -------------------------------------------------------

@@ -1,11 +1,12 @@
 """Corpus-scale fingerprint index.
 
-Treats DFG extraction as a cacheable, parallelizable build step and
-embedding as a batched query service: ``build_index`` fans extraction out
-over worker processes through a content-addressed DFG cache, embeds the
-corpus in packed batches, and persists memory-mapped float32 shards that
-open without decompressing or copying.  ``add_to_index`` grows the corpus
-in place (one appended shard, no re-embedding); the
+Treats graph extraction as a cacheable, parallelizable build step and
+embedding as a batched query service.  :func:`ingest_corpus` is the one
+index writer — a fresh build, an in-place append and a resumed run are
+its three modes: a worker pool extracts (through a content-addressed
+graph cache), chunks and embeds each design, copies designs the index
+already stores, and streams unit float32 rows into memory-mapped shards
+that open without decompressing or copying.  The
 :class:`~repro.index.engine.QueryEngine` answers whole batches of top-k
 nearest-design queries per BLAS pass, optionally pre-filtered by an IVF
 coarse quantizer (:mod:`repro.index.ann`) that probes only the nearest
@@ -16,30 +17,22 @@ from repro.index.ann import IVFIndex
 from repro.index.cache import CacheStats, DFGCache, content_key
 from repro.index.chunks import ChunkConfig, extract_chunks
 from repro.index.engine import QueryEngine, QueryHit
-from repro.index.extractor import (
-    CorpusExtractor,
-    ExtractionResult,
+from repro.index.ingest import (
+    IngestConfig,
     default_jobs,
+    ingest_corpus,
+    walk_sources,
 )
-from repro.index.ingest import IngestConfig, ingest_corpus, walk_sources
 from repro.index.service import EmbeddingService, model_fingerprint
 from repro.index.shards import ShardStore
-from repro.index.store import (
-    FingerprintIndex,
-    add_to_index,
-    build_index,
-    migrate_index,
-    migrate_v2,
-)
+from repro.index.store import FingerprintIndex, migrate_index
 from repro.index.wlsig import SignatureScorer, wl_colors
 
 __all__ = [
     "CacheStats", "DFGCache", "content_key",
-    "ChunkConfig", "extract_chunks",
-    "CorpusExtractor", "ExtractionResult", "default_jobs",
+    "ChunkConfig", "extract_chunks", "default_jobs",
     "EmbeddingService", "model_fingerprint",
     "FingerprintIndex", "IngestConfig", "QueryEngine", "QueryHit",
-    "IVFIndex", "ShardStore", "SignatureScorer", "add_to_index",
-    "build_index", "ingest_corpus", "migrate_index", "migrate_v2",
-    "walk_sources", "wl_colors",
+    "IVFIndex", "ShardStore", "SignatureScorer",
+    "ingest_corpus", "migrate_index", "walk_sources", "wl_colors",
 ]

@@ -39,9 +39,6 @@ class CacheStats:
         self.hit_bytes = 0
         self.store_bytes = 0
 
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
     def __repr__(self):
         return (f"CacheStats(hits={self.hits}, misses={self.misses}, "
                 f"stores={self.stores}, corrupt={self.corrupt})")

@@ -1,23 +1,27 @@
-"""Streaming multiprocess corpus ingest with checkpointed resume.
+"""The index writer: streaming multiprocess ingest with checkpointed resume.
 
-``build_index`` is a one-shot pass: it extracts every graph, holds every
-embedding in memory, and writes nothing durable until the very end.
-That is the right shape for a few hundred designs and the wrong shape
-for a registry of 10⁵–10⁶ — peak memory scales with corpus × chunking
-factor and a crash at 99 % loses everything.  This module is the
-production ingest path:
+Every index write goes through :func:`ingest_corpus`:
+:meth:`~repro.api.facade.Corpus.build` is a ``fresh=True`` ingest,
+:meth:`~repro.api.facade.Corpus.add` an append-mode ingest, and the CLI's
+``index build``/``index add``/``index ingest`` call those.  The shape
+suits a handful of designs and a registry of 10⁵–10⁶ alike:
 
-- a **work queue** of design sources feeds N worker processes, each
-  running the full extract → chunk → embed pipeline (the model is
-  shipped to the workers once, at pool start) and returning only the
-  unit-normalized float32 rows plus a small metadata record — graphs
-  never accumulate in the parent, so peak memory stays flat regardless
-  of corpus size;
+- a **work queue** of design sources feeds N worker processes (or the
+  parent itself when ``jobs=1``), each running the full extract → chunk
+  → embed pipeline (the model is shipped to the workers once, at pool
+  start) and returning only the unit-normalized float32 rows plus a
+  small metadata record — graphs never accumulate in the parent, so
+  peak memory stays flat regardless of corpus size;
 - results stream back **in input order** (deterministic layout: two
   runs over the same corpus produce identical indexes) and are flushed
   to the append-only v4 shard files in bounded-size batches;
 - a failing design is **recorded and skipped**, never fatal: its error
   entry lands in the checkpoint and the final index like any other;
+- when ``root`` already holds an index built with the same model,
+  extraction options and chunk config, a design whose content key is
+  stored there is **reused**: its rows, regions, entry fields and WL
+  colors are copied instead of extracted and embedded again (a warm
+  rebuild or an append of known content costs a read and a hash);
 - every flush durably lands (``fsync``) one shard, one WL-signature
   sidecar line, and one atomically-replaced **checkpoint**, in that
   order — a kill at any instant leaves a checkpoint that refers only to
@@ -37,9 +41,9 @@ Crash-ordering contract (what resume relies on)::
 
 A checkpoint therefore never references a shard that is missing or
 short; an orphan shard from a crash between steps is re-done on resume
-and cleaned at finalize.  Appending to an existing index never touches
-its files — the old ``meta.json`` stays valid (and servable) until the
-new one atomically replaces it.
+and cleaned at finalize.  Neither a rebuild nor an append touches the
+files of the index already at ``root`` — its ``meta.json`` stays valid
+(and servable) until the new one atomically replaces it.
 """
 
 import hashlib
@@ -69,6 +73,7 @@ from repro.index.shards import (
 from repro.index.store import (
     CACHE_DIR,
     FORMAT_VERSION,
+    META_NAME,
     MODEL_NAME,
     FingerprintIndex,
     _clean_stale_files,
@@ -126,7 +131,8 @@ def walk_sources(sources):
 
 @dataclass
 class IngestConfig:
-    """Tunables for :func:`ingest_corpus`.
+    """Tunables for :func:`ingest_corpus`, and so for every index write
+    (exported as :class:`repro.api.IndexConfig` too).
 
     Attributes:
         jobs: worker processes (``None`` auto-sizes to the machine,
@@ -139,7 +145,9 @@ class IngestConfig:
         level: extraction level for a fresh index (defaults to the
             model's level); appends always use the index's own level.
         top: top-module override applied to every file.
-        use_cache: probe/populate the content-addressed graph cache.
+        use_cache: probe/populate the content-addressed graph cache and
+            reuse designs the index at ``root`` already stores;
+            ``False`` extracts and embeds everything.
         chunks: also store one row per subgraph chunk (fresh indexes
             only; appends follow the index's stored chunk config).
         chunk_config: :class:`~repro.index.chunks.ChunkConfig` override.
@@ -168,6 +176,14 @@ class IngestConfig:
     stop_after: int = None
 
 
+def default_jobs(task_count=None):
+    """Worker count: one per core, capped at 8 and at the task count."""
+    jobs = min(os.cpu_count() or 1, 8)
+    if task_count is not None:
+        jobs = min(jobs, max(task_count, 1))
+    return jobs
+
+
 # -- worker side --------------------------------------------------------------
 #: Per-worker-process state, built once by the pool initializer so the
 #: model is unpickled and the frontend constructed once per worker, not
@@ -175,15 +191,83 @@ class IngestConfig:
 _WORKER = {}
 
 
-def _init_ingest_worker(model, level, options, top, chunk_spec,
-                        cache_dir, batch_size):
-    frontend = get_frontend(level, **options)
-    _WORKER["frontend"] = frontend
+class _StoredDesigns:
+    """What an existing index stores per content key: the rows (design
+    row first, then its chunk rows), chunk regions, entry fields and WL
+    colors a rebuild or append copies instead of recomputing."""
+
+    def __init__(self, index, colors):
+        self.shards = index.shards
+        self.colors = colors
+        self.entries = {}
+        for entry in index.entries:
+            if entry["status"] == "ok":
+                self.entries.setdefault(entry["key"], entry)
+        self.rows = {}
+        for row, spec in enumerate(index.rows):
+            owner = (spec["parent"] if spec.get("kind") == "chunk"
+                     else spec["name"])
+            self.rows.setdefault(owner, []).append((row,
+                                                    spec.get("region")))
+
+    @classmethod
+    def open(cls, root, model_hash, options, chunk_spec):
+        """The designs stored at ``root``, or ``None`` unless that index
+        was built with this model, these extraction options and this
+        chunk config (anything else would copy incomparable rows)."""
+        if not (Path(root) / META_NAME).is_file():
+            return None
+        try:
+            index = FingerprintIndex.load(root)
+            signatures = load_signatures(root)
+        except IndexStoreError:
+            return None
+        stored = index.meta["options"]
+        if (index.model_hash != model_hash
+                or index.meta.get("chunks") != chunk_spec
+                or any(stored.get(name) != options.get(name)
+                       for name in ("level", "do_trim", "schema", "top"))):
+            return None
+        colors = ({} if signatures is None or signatures[1] != SIG_RADIUS
+                  else signatures[0])
+        return cls(index, colors)
+
+    def payload(self, key):
+        """Payload fields for a stored content key (``colors`` only when
+        the index signed it), or ``None`` when the key is not stored."""
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        rows = self.rows[entry["name"]]
+        unit = np.stack([self.shards.row(row) for row, _ in rows])
+        fields = {"design": entry["design"], "nodes": entry["nodes"],
+                  "edges": entry["edges"], "cached": None, "reused": True,
+                  "rows": unit.tobytes(), "n_rows": len(rows),
+                  "regions": [region for _, region in rows[1:]]}
+        if entry["name"] in self.colors:
+            fields["colors"] = _hex_colors(self.colors[entry["name"]])
+        return fields
+
+
+def _hex_colors(colors):
+    return {format(color, "x"): int(count)
+            for color, count in sorted(colors.items())}
+
+
+def _init_ingest_worker(model, model_hash, options, chunk_spec, root,
+                        batch_size):
+    use_cache = options.get("use_cache", True)
+    _WORKER["frontend"] = get_frontend(options["level"],
+                                       do_trim=options.get("do_trim", True))
     _WORKER["service"] = EmbeddingService(model, batch_size=batch_size)
-    _WORKER["top"] = top
+    _WORKER["top"] = options["top"]
     _WORKER["chunks"] = (ChunkConfig.from_dict(chunk_spec)
                          if chunk_spec else None)
-    _WORKER["cache"] = DFGCache(cache_dir) if cache_dir else None
+    _WORKER["cache"] = (DFGCache(Path(root) / CACHE_DIR) if use_cache
+                        else None)
+    _WORKER["stored"] = (_StoredDesigns.open(root, model_hash, options,
+                                             chunk_spec)
+                         if use_cache else None)
     _WORKER["want_colors"] = chunk_spec is not None
 
 
@@ -197,6 +281,10 @@ def _ingest_task(task):
     Returns ``(seq, payload)`` where the payload is a small picklable
     dict — embedding rows as raw float32 bytes, never graphs — so the
     parent's memory footprint per in-flight result is a few kilobytes.
+    A content key the index at the root already stores is copied from
+    there instead (its graph is only taken for WL colors the stored
+    index never signed).  ``cached`` records where the graph came from:
+    the cache (``True``), extraction (``False``) or nowhere (``None``).
     Any exception is captured as an error payload: one bad design can
     never take down the run.
     """
@@ -205,11 +293,18 @@ def _ingest_task(task):
                "stem": os.path.splitext(os.path.basename(str(path)))[0],
                "key": None}
     frontend = _WORKER["frontend"]
+    want_colors = _WORKER["want_colors"]
     try:
         with open(path) as handle:
             text = handle.read()
         cleaned = frontend.preprocess_text(text)
         payload["key"] = frontend.content_key(cleaned, top=_WORKER["top"])
+        stored = _WORKER["stored"]
+        reused = None if stored is None else stored.payload(payload["key"])
+        if reused is not None:
+            payload.update(reused)
+            if "colors" in payload or not want_colors:
+                return seq, payload
         cache = _WORKER["cache"]
         graph = cache.load(payload["key"]) if cache is not None else None
         payload["cached"] = graph is not None
@@ -218,22 +313,21 @@ def _ingest_task(task):
                                                   top=_WORKER["top"])
             if cache is not None:
                 cache.store(payload["key"], graph)
-        chunk_opts = _WORKER["chunks"]
-        subs = extract_chunks(graph, chunk_opts) if chunk_opts else []
-        unit = unit_rows_f32(_WORKER["service"].embed_graphs(
-            [graph] + [sub for sub, _ in subs]))
-        payload.update({
-            "design": graph.name,
-            "nodes": len(graph),
-            "edges": graph.num_edges,
-            "rows": unit.tobytes(),
-            "n_rows": int(unit.shape[0]),
-            "regions": [region for _, region in subs],
-        })
-        if _WORKER["want_colors"]:
-            payload["colors"] = {format(color, "x"): int(count)
-                                 for color, count
-                                 in sorted(wl_colors(graph).items())}
+        if reused is None:
+            chunk_opts = _WORKER["chunks"]
+            subs = extract_chunks(graph, chunk_opts) if chunk_opts else []
+            unit = unit_rows_f32(_WORKER["service"].embed_graphs(
+                [graph] + [sub for sub, _ in subs]))
+            payload.update({
+                "design": graph.name,
+                "nodes": len(graph),
+                "edges": graph.num_edges,
+                "rows": unit.tobytes(),
+                "n_rows": int(unit.shape[0]),
+                "regions": [region for _, region in subs],
+            })
+        if want_colors:
+            payload["colors"] = _hex_colors(wl_colors(graph))
         return seq, payload
     except Exception as exc:  # noqa: BLE001 - per-item isolation is the point
         payload["error"] = _describe(exc)
@@ -423,7 +517,7 @@ def _fresh_checkpoint(root, paths, model, service, config):
                             else model_level)
     if frontend.level != model_level:
         raise ModelError(
-            f"cannot ingest a {frontend.level}-level index with a "
+            f"cannot build a {frontend.level}-level index with a "
             f"{model_level}-level model (train with --level "
             f"{frontend.level} or change --level)")
     chunk_opts = ((config.chunk_config or ChunkConfig())
@@ -490,7 +584,8 @@ def _entry_from_payload(state, payload):
         entry["error"] = payload["error"]
         return entry, []
     entry.update(design=payload["design"], nodes=payload["nodes"],
-                 edges=payload["edges"], cached=payload["cached"])
+                 edges=payload["edges"], cached=payload["cached"],
+                 reused=payload.get("reused", False))
     specs = [{"kind": "design", "name": name}]
     specs.extend({"kind": "chunk", "parent": name, "region": region}
                  for region in payload["regions"])
@@ -684,13 +779,8 @@ def _finalize(state, model, service, config, report):
 
 def ingest_corpus(root, paths, model=None, config=None, resume=True,
                   fresh=False):
-    """Streaming, resumable, multiprocess corpus ingest.
-
-    The production-scale sibling of
-    :func:`~repro.index.store.build_index` /
-    :func:`~repro.index.store.add_to_index`: same on-disk format, same
-    query results, but bounded memory, durable incremental progress,
-    and a worker pool that runs extract → chunk → embed end to end.
+    """Streaming, resumable, multiprocess corpus ingest: the one way an
+    index is written (see the module docstring).
 
     Modes (selected automatically):
 
@@ -701,7 +791,8 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
       the new designs in without touching existing files (the index
       keeps serving its old meta until the new one atomically lands).
     - **fresh** — otherwise (or whenever ``fresh=True``): build a new
-      index from scratch, discarding any checkpoint or existing index.
+      index from scratch, discarding any checkpoint or existing index
+      (whose stored designs are still reused where they match).
 
     Args:
         root: index directory.
@@ -719,7 +810,11 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
         ``(index, report)``.  ``index`` is the loaded
         :class:`~repro.index.store.FingerprintIndex`, or ``None`` when
         the run paused at ``config.stop_after`` (the report then has
-        ``ingest.state == "paused"``).
+        ``ingest.state == "paused"``).  The report counts this run's
+        files (``files``, ``embedded``, ``failures``, ``chunk_rows``;
+        ``embedded_fresh`` vs ``embeddings_reused``), its graph-cache
+        ``hits``/``misses`` (``None`` without the cache), the worker
+        count ``jobs``, and the run itself under ``ingest``.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -738,7 +833,7 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
         checkpoint = _load_checkpoint(root, paths, None)
     base_index = None
     if checkpoint is None:
-        if not fresh and (root / "meta.json").is_file():
+        if not fresh and (root / META_NAME).is_file():
             base_index = FingerprintIndex.load(root)
         if model is None:
             if base_index is not None:
@@ -785,16 +880,8 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
         save_model(model, root / MODEL_NAME)
 
     remaining = paths[state.completed:]
-    options = {k: v for k, v in state.options.items()
-               if k in ("do_trim",)}
-    cache_dir = (str(root / CACHE_DIR)
-                 if state.options.get("use_cache", True) else None)
-    init_args = (model, state.options["level"], options,
-                 state.options["top"], state.chunk_spec, cache_dir,
-                 config.batch_size)
-
-    from repro.index.extractor import default_jobs
-
+    init_args = (model, state.model_hash, state.options, state.chunk_spec,
+                 str(root), config.batch_size)
     jobs = (config.jobs if config.jobs is not None
             else default_jobs(len(remaining)))
     buffer = _FlushBuffer(state.hidden)
@@ -859,6 +946,9 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
         if pool is not None:
             pool.terminate()
             pool.join()
+        # Release the in-process worker's maps of the stored shards
+        # before finalize cleans superseded files.
+        _WORKER.clear()
 
     _flush(state, buffer)
     elapsed = time.monotonic() - started
@@ -870,20 +960,17 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
     chunk_rows = sum(1 for spec in state.rows
                      if spec.get("kind") == "chunk")
     cached = sum(1 for e in ok_entries if e.get("cached"))
+    extracted = sum(1 for e in ok_entries if e.get("cached") is False)
+    reused = sum(1 for e in ok_entries if e.get("reused"))
     report = {
-        "mode": "ingest",
         "files": len(state.entries),
         "embedded": len(ok_entries),
-        "embedded_fresh": len(ok_entries),
-        "embeddings_reused": 0,
+        "embedded_fresh": len(ok_entries) - reused,
+        "embeddings_reused": reused,
         "failures": len(state.entries) - len(ok_entries),
         "chunk_rows": chunk_rows,
-        "cache": ({"hits": cached, "misses": len(ok_entries) - cached,
-                   "stores": len(ok_entries) - cached, "corrupt": 0,
-                   "hit_bytes": 0, "store_bytes": 0}
+        "cache": ({"hits": cached, "misses": extracted}
                   if state.options.get("use_cache", True) else None),
-        "extract_seconds": elapsed,
-        "embed_seconds": 0.0,
         "jobs": jobs,
         "ingest": {
             "state": "paused" if paused else "complete",

@@ -176,6 +176,30 @@ class TestSession:
         # The extraction landed in the index's graph cache.
         assert session.fingerprint(fresh).origin == ORIGIN_CACHE
 
+    def test_fingerprint_every_stored_file_of_chunked_corpus(self,
+                                                             tmp_path):
+        """Design rows interleave with chunk rows, so the entry for a
+        stored key is looked up by key, never by shard row."""
+        from repro.designs import materialize_netlist_corpus
+
+        paths = materialize_netlist_corpus(
+            tmp_path / "corpus", families=["adder8", "cmp8", "mux8",
+                                           "counter8"],
+            instances_per_design=2, seed=0)
+        detector = Detector.from_model(GNN4IP(seed=0, featurizer="netlist"))
+        corpus, _ = Corpus.ingest(tmp_path / "idx", paths, detector,
+                                  IndexConfig(level="netlist", jobs=1))
+        assert corpus.index.has_chunks
+        session = Session(detector=detector, corpus=corpus)
+        by_path = {entry["path"]: entry for entry in corpus.entries}
+        for path in paths:
+            fingerprint = session.fingerprint(path)
+            entry = by_path[str(path)]
+            assert fingerprint.origin == ORIGIN_INDEX
+            assert fingerprint.design == entry["design"]
+            np.testing.assert_array_equal(fingerprint.vector,
+                                          corpus.lookup(entry["key"]))
+
     def test_foreign_model_skips_index_reuse(self, built):
         session = Session(detector=Detector.from_model(GNN4IP(seed=9)),
                           corpus=built)

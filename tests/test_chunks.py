@@ -24,9 +24,10 @@ from repro.errors import IndexStoreError
 from repro.index import (
     ChunkConfig,
     FingerprintIndex,
+    IngestConfig,
     QueryEngine,
-    build_index,
     extract_chunks,
+    ingest_corpus,
     migrate_index,
 )
 from repro.index.chunks import topological_order
@@ -233,8 +234,8 @@ def netlist_index(tmp_path_factory):
                                        families=["adder8", "cmp8"],
                                        instances_per_design=1, seed=0)
     model = GNN4IP(seed=0, featurizer="netlist")
-    index, report = build_index(root / "idx", paths, model,
-                                level="netlist", jobs=1)
+    index, report = ingest_corpus(root / "idx", paths, model,
+                                  IngestConfig(level="netlist", jobs=1))
     return index, report, model
 
 
@@ -275,9 +276,9 @@ class TestV4Store:
     def test_build_without_chunks(self, tmp_path, netlist_index):
         index, _, model = netlist_index
         ok = [e for e in index.entries if e["status"] == "ok"]
-        plain, report = build_index(tmp_path / "plain",
-                                    [e["path"] for e in ok], model,
-                                    level="netlist", jobs=1, chunks=False)
+        plain, report = ingest_corpus(
+            tmp_path / "plain", [e["path"] for e in ok], model,
+            IngestConfig(level="netlist", jobs=1, chunks=False))
         assert not plain.has_chunks
         assert report["chunk_rows"] == 0
         assert plain.meta["chunks"] is None
@@ -302,8 +303,8 @@ endmodule
         for name, text in self.SOURCES.items():
             (root / name).write_text(text)
         model = GNN4IP(seed=0)
-        index, _ = build_index(tmp_path / "idx",
-                               sorted(root.glob("*.v")), model, jobs=1)
+        index, _ = ingest_corpus(tmp_path / "idx", sorted(root.glob("*.v")),
+                                 model, IngestConfig(jobs=1))
         return index, model
 
     @staticmethod

@@ -1,4 +1,9 @@
-"""Fingerprint index: cache behavior, parallel extraction, top-k queries."""
+"""Fingerprint index: cache behavior, parallel extraction, top-k queries.
+
+Extraction runs inside the ingest workers (:mod:`repro.index.ingest`),
+so the cache and extraction tests drive ingests and read what they
+stored.
+"""
 
 import json
 
@@ -10,14 +15,15 @@ from repro.dataflow import DFGPipeline, dfg_from_verilog
 from repro.dataflow.serialize import dfg_from_dict, dfg_to_dict, dumps, loads
 from repro.errors import DataflowError, IndexStoreError
 from repro.index import (
-    CorpusExtractor,
     DFGCache,
     EmbeddingService,
     FingerprintIndex,
-    build_index,
+    IngestConfig,
     content_key,
+    ingest_corpus,
     model_fingerprint,
 )
+from repro.index import ingest as ingest_mod
 
 ADDER = """
 module adder(input [3:0] a, input [3:0] b, output [4:0] s);
@@ -106,87 +112,128 @@ class TestContentKey:
         assert content_key("module m; endmodule", "trim=1", top="m") != base
 
 
+def build(root, paths, model=None, **options):
+    """A fresh serial ingest (what ``Corpus.build`` runs)."""
+    options.setdefault("jobs", 1)
+    return ingest_corpus(root, paths,
+                         model if model is not None else GNN4IP(seed=0),
+                         IngestConfig(**options), fresh=True)
+
+
+def stored_graph(root, entry):
+    return DFGCache(root / "cache").load(entry["key"])
+
+
 class TestCache:
     def test_miss_then_hit(self, tmp_path, corpus_paths):
-        cache = DFGCache(tmp_path / "cache")
-        extractor = CorpusExtractor(cache=cache, jobs=1)
-        first = extractor.extract_paths(corpus_paths)
-        assert cache.stats.misses == len(corpus_paths)
-        assert cache.stats.stores == len(corpus_paths)
-        assert cache.stats.hits == 0
+        """The cache is keyed by content, not by chunk config: a rebuild
+        that cannot reuse stored rows still skips every extraction."""
+        root = tmp_path / "idx"
+        first, report = build(root, corpus_paths)
+        assert report["cache"] == {"hits": 0, "misses": len(corpus_paths)}
+        assert DFGCache(root / "cache").entry_count() == len(corpus_paths)
 
-        cache.stats.__init__()
-        second = extractor.extract_paths(corpus_paths)
-        assert cache.stats.hits == len(corpus_paths)
-        assert cache.stats.misses == 0
-        assert all(r.cached for r in second)
-        for a, b in zip(first, second):
-            assert graph_signature(a.graph) == graph_signature(b.graph)
+        second, report = build(root, corpus_paths, chunks=False)
+        assert report["cache"] == {"hits": len(corpus_paths), "misses": 0}
+        assert report["embeddings_reused"] == 0
+        assert all(e["cached"] for e in second.entries)
+        for a, b in zip(first.entries, second.entries):
+            assert (a["key"], a["nodes"], a["edges"]) == \
+                (b["key"], b["nodes"], b["edges"])
+            assert graph_signature(stored_graph(root, b)) == \
+                graph_signature(DFGPipeline().extract_file(b["path"]))
 
     def test_corrupt_entry_recovers(self, tmp_path, corpus_paths):
-        cache = DFGCache(tmp_path / "cache")
-        extractor = CorpusExtractor(cache=cache, jobs=1)
-        first = extractor.extract_paths(corpus_paths)
+        root = tmp_path / "idx"
+        first, _ = build(root, corpus_paths)
 
-        # Truncate one blob; the entry must heal on the next run.
-        victim = cache.blob_path(first[0].key)
-        victim.write_bytes(b"\x00garbage")
-        cache.stats.__init__()
-        second = extractor.extract_paths(corpus_paths)
-        assert cache.stats.corrupt == 1
-        assert cache.stats.hits == len(corpus_paths) - 1
-        assert graph_signature(second[0].graph) == \
-            graph_signature(first[0].graph)
+        # Truncate one blob; the entry must heal on the next run (a new
+        # model, so no stored row is reused and every file hits the cache).
+        victim = first.entries[0]
+        DFGCache(root / "cache").blob_path(victim["key"]).write_bytes(
+            b"\x00garbage")
+        second, report = build(root, corpus_paths, GNN4IP(seed=1))
+        assert report["cache"] == {"hits": len(corpus_paths) - 1,
+                                   "misses": 1}
+        assert not second.entries[0]["cached"]
+        assert graph_signature(stored_graph(root, victim)) == \
+            graph_signature(DFGPipeline().extract_file(victim["path"]))
         # Healed: third run hits everything.
-        cache.stats.__init__()
-        extractor.extract_paths(corpus_paths)
-        assert cache.stats.hits == len(corpus_paths)
+        _, report = build(root, corpus_paths, GNN4IP(seed=2))
+        assert report["cache"]["hits"] == len(corpus_paths)
 
-    def test_no_cache(self, corpus_paths):
-        extractor = CorpusExtractor(cache=None, jobs=1)
-        results = extractor.extract_paths(corpus_paths)
-        assert all(r.ok and not r.cached for r in results)
+    def test_no_cache(self, tmp_path, corpus_paths):
+        index, report = build(tmp_path / "idx", corpus_paths,
+                              use_cache=False)
+        assert report["cache"] is None
+        assert all(e["status"] == "ok" and not e["cached"]
+                   for e in index.entries)
+        assert not (tmp_path / "idx" / "cache").exists()
 
     def test_entry_count_and_bytes(self, tmp_path, corpus_paths):
-        cache = DFGCache(tmp_path / "cache")
-        CorpusExtractor(cache=cache, jobs=1).extract_paths(corpus_paths)
+        index, _ = build(tmp_path / "idx", corpus_paths)
+        cache = DFGCache(tmp_path / "idx" / "cache")
         assert cache.entry_count() == len(corpus_paths)
-        assert cache.disk_bytes() == cache.stats.store_bytes > 0
+        assert cache.disk_bytes() == sum(
+            cache.blob_path(e["key"]).stat().st_size
+            for e in index.entries) > 0
 
 
 class TestCorpusExtractor:
-    def test_parallel_matches_serial(self, corpus_paths):
-        serial = CorpusExtractor(jobs=1).extract_paths(corpus_paths)
-        parallel = CorpusExtractor(jobs=3).extract_paths(corpus_paths)
-        assert [r.path for r in parallel] == [r.path for r in serial]
-        for a, b in zip(serial, parallel):
-            assert graph_signature(a.graph) == graph_signature(b.graph)
+    """Corpus extraction inside the ingest worker pool."""
 
-    def test_error_isolation(self, corpus_dir):
+    def test_parallel_matches_serial(self, tmp_path, corpus_paths):
+        serial, _ = build(tmp_path / "serial", corpus_paths, jobs=1)
+        parallel, report = build(tmp_path / "parallel", corpus_paths,
+                                 jobs=3)
+        assert report["jobs"] == 3
+        fields = ("path", "key", "design", "nodes", "edges")
+        assert [[e[f] for f in fields] for e in parallel.entries] == \
+            [[e[f] for f in fields] for e in serial.entries]
+        np.testing.assert_array_equal(parallel.matrix, serial.matrix)
+
+    def test_error_isolation(self, tmp_path, corpus_dir):
         (corpus_dir / "broken.v").write_text(BROKEN)
         paths = sorted(corpus_dir.glob("*.v"))
         for jobs in (1, 2):
-            results = CorpusExtractor(jobs=jobs).extract_paths(paths)
-            by_name = {r.name: r for r in results}
-            assert not by_name["broken"].ok
-            assert "Error" in by_name["broken"].error
-            assert by_name["broken"].graph is None
-            ok = [r for r in results if r.ok]
-            assert len(ok) == len(paths) - 1
+            index, report = build(tmp_path / f"idx{jobs}", paths,
+                                  jobs=jobs)
+            by_name = {e["name"]: e for e in index.entries}
+            assert by_name["broken"]["status"] == "error"
+            assert "Error" in by_name["broken"]["error"]
+            assert "design" not in by_name["broken"]
+            assert report["failures"] == 1
+            assert len(index) == len(paths) - 1
 
-    def test_matches_single_file_pipeline(self, corpus_paths):
-        results = CorpusExtractor(jobs=2).extract_paths(corpus_paths)
+    def test_matches_single_file_pipeline(self, tmp_path, corpus_paths):
+        model = GNN4IP(seed=0)
+        index, _ = build(tmp_path / "idx", corpus_paths, model, jobs=2)
         pipeline = DFGPipeline()
-        for result in results:
-            direct = pipeline.extract_file(result.path)
-            assert graph_signature(result.graph) == graph_signature(direct)
+        for entry in index.entries:
+            direct = pipeline.extract_file(entry["path"])
+            assert (entry["nodes"], entry["edges"]) == \
+                (len(direct), direct.num_edges)
+            vector = model.encoder.embed(direct)
+            np.testing.assert_allclose(index.lookup_key(entry["key"]),
+                                       vector / np.linalg.norm(vector),
+                                       rtol=1e-6, atol=1e-7)
 
-    def test_respects_do_trim(self, corpus_paths):
-        trimmed = CorpusExtractor(jobs=1).extract_paths(corpus_paths[:1])
-        raw = CorpusExtractor(pipeline=DFGPipeline(do_trim=False),
-                              jobs=1).extract_paths(corpus_paths[:1])
-        assert len(raw[0].graph) >= len(trimmed[0].graph)
-        assert raw[0].key != trimmed[0].key
+    def test_respects_do_trim(self, tmp_path, corpus_paths):
+        model = GNN4IP(seed=0)
+
+        def extract(do_trim):
+            options = {"level": "rtl", "do_trim": do_trim, "top": None,
+                       "use_cache": False}
+            ingest_mod._init_ingest_worker(model, "", options, None,
+                                           str(tmp_path), 64)
+            try:
+                return ingest_mod._ingest_task((0, corpus_paths[0]))[1]
+            finally:
+                ingest_mod._WORKER.clear()
+
+        trimmed, raw = extract(True), extract(False)
+        assert raw["nodes"] >= trimmed["nodes"]
+        assert raw["key"] != trimmed["key"]
 
 
 class TestModelFingerprint:
@@ -208,8 +255,7 @@ class TestFingerprintIndex:
     @pytest.fixture
     def built(self, tmp_path, corpus_paths):
         model = GNN4IP(seed=0)
-        index, report = build_index(tmp_path / "idx", corpus_paths, model,
-                                    jobs=1)
+        index, report = build(tmp_path / "idx", corpus_paths, model)
         return index, report, model
 
     def test_build_report(self, built):
@@ -266,8 +312,7 @@ class TestFingerprintIndex:
     def test_failures_are_recorded(self, tmp_path, corpus_dir):
         (corpus_dir / "broken.v").write_text(BROKEN)
         paths = sorted(corpus_dir.glob("*.v"))
-        index, report = build_index(tmp_path / "idx2", paths,
-                                    GNN4IP(seed=0), jobs=1)
+        index, report = build(tmp_path / "idx2", paths)
         assert report["failures"] == 1
         failed = [e for e in index.entries if e["status"] == "error"]
         assert len(failed) == 1
@@ -294,11 +339,13 @@ class TestFingerprintIndex:
             FingerprintIndex.load(root)
 
     def test_warm_rebuild_hits_cache(self, built, tmp_path, corpus_paths):
-        _, report, model = built
+        """A rebuild under a retrained model (no stored row is reusable)
+        takes every graph from the cache."""
+        _, report, _ = built
         assert report["cache"]["hits"] == 0
-        _, warm = build_index(tmp_path / "idx", corpus_paths, model, jobs=1)
-        assert warm["cache"]["hits"] == len(SOURCES)
-        assert warm["cache"]["misses"] == 0
+        _, warm = build(tmp_path / "idx", corpus_paths, GNN4IP(seed=5))
+        assert warm["cache"] == {"hits": len(SOURCES), "misses": 0}
+        assert warm["embeddings_reused"] == 0
 
     def test_stats(self, built):
         index, _, _ = built

@@ -1,9 +1,10 @@
-"""Streaming ingest: equivalence, resume, error isolation, recovery.
+"""Streaming ingest: equivalence, reuse, resume, error isolation, recovery.
 
 The contract under test (see ``repro.index.ingest``):
 
-- a streaming ingest produces an index whose query results are
-  identical to a one-shot ``build_index`` over the same files;
+- N workers write the same index as one;
+- a rebuild or append that copies designs the index already stores
+  writes the same bytes as extracting and embedding them afresh;
 - a run killed (here: paused) mid-stream resumes from its checkpoint
   and finishes with results identical to an uninterrupted run;
 - one broken design is recorded and skipped, never fatal;
@@ -23,15 +24,16 @@ from repro.errors import IndexStoreError, ModelError
 from repro.index import (
     FingerprintIndex,
     IngestConfig,
-    build_index,
     ingest_corpus,
     walk_sources,
 )
+from repro.api import Corpus
 from repro.index.ingest import (
     CHECKPOINT_NAME,
     COMPACT_MIN_SHARDS,
     SIG_SIDECAR_NAME,
 )
+from repro.index.wlsig import SIG_NAME, load_signatures
 
 ADDER = """
 module adder(input [3:0] a, input [3:0] b, output [4:0] s);
@@ -122,26 +124,6 @@ class TestWalkSources:
 
 
 class TestFreshIngest:
-    def test_matches_one_shot_build(self, tmp_path, corpus):
-        """The acceptance equivalence: streaming ingest == build_index,
-        same entries, same rows, same top-k names and scores."""
-        model = GNN4IP(seed=0)
-        built, _ = build_index(tmp_path / "built", corpus,
-                               GNN4IP(seed=0), jobs=1)
-        ingested, report = ingest_corpus(
-            tmp_path / "ingested", corpus, model,
-            IngestConfig(jobs=1, flush_rows=4))
-        assert report["ingest"]["state"] == "complete"
-        assert report["embedded"] == len(corpus)
-        assert [e["name"] for e in ingested.entries] == \
-            [e["name"] for e in built.entries]
-        assert len(ingested.meta["rows"]) == len(built.meta["rows"])
-        np.testing.assert_array_equal(np.asarray(ingested.matrix),
-                                      np.asarray(built.matrix))
-        for source in (ADDER, MUX, XOR_CHAIN):
-            assert_same_hits(top_hits(ingested, source),
-                             top_hits(built, source))
-
     def test_multiprocess_matches_serial(self, tmp_path, corpus):
         serial, _ = ingest_corpus(tmp_path / "serial", corpus,
                                   GNN4IP(seed=0), IngestConfig(jobs=1))
@@ -391,6 +373,119 @@ class TestAppendMode:
         with pytest.raises(IndexStoreError, match="fingerprint"):
             ingest_corpus(root, corpus[4:], GNN4IP(seed=1),
                           IngestConfig(jobs=1))
+
+
+@pytest.fixture(scope="module")
+def netlist_corpus(tmp_path_factory):
+    """Netlist designs big enough to store chunk rows and signatures."""
+    from repro.designs import materialize_netlist_corpus
+
+    root = tmp_path_factory.mktemp("netlist_corpus")
+    return materialize_netlist_corpus(root, families=["adder8", "cmp8"],
+                                      instances_per_design=2, seed=0)
+
+
+def shard_bytes(index):
+    return b"".join(index.shards.shard_path(spec).read_bytes()
+                    for spec in index.meta["store"]["shards"])
+
+
+class TestReuse:
+    """Designs the index at the root already stores are copied, not
+    extracted and embedded again — and the copy is byte-exact."""
+
+    def test_warm_rebuild_matches_cold_ingest(self, tmp_path,
+                                              netlist_corpus):
+        model = GNN4IP(seed=0, featurizer="netlist")
+        config = IngestConfig(level="netlist", jobs=1)
+        root = tmp_path / "warm"
+        ingest_corpus(root, netlist_corpus, model, config)
+        warm, report = ingest_corpus(root, netlist_corpus, model, config,
+                                     fresh=True)
+        assert report["embeddings_reused"] == len(netlist_corpus)
+        assert report["embedded_fresh"] == 0
+        assert report["cache"] == {"hits": 0, "misses": 0}
+        cold, report = ingest_corpus(
+            tmp_path / "cold", netlist_corpus, model,
+            IngestConfig(level="netlist", jobs=1, use_cache=False))
+        assert report["embeddings_reused"] == 0
+        assert warm.has_chunks and warm.signature_scorer() is not None
+        assert shard_bytes(warm) == shard_bytes(cold)
+        assert warm.rows == cold.rows
+        assert (warm.root / SIG_NAME).read_bytes() == \
+            (cold.root / SIG_NAME).read_bytes()
+
+    def test_rebuild_signs_designs_an_unsigned_index_stored(
+            self, tmp_path, netlist_corpus):
+        """A design reused from an index without signatures still gets
+        WL colors (from its graph) when the rebuild stores chunk rows,
+        so the structural channel covers every design."""
+        tiny = tmp_path / "tiny.v"
+        tiny.write_text("module tiny(input a, input b, output y);\n"
+                        "  assign y = a & b;\nendmodule\n")
+        model = GNN4IP(seed=0, featurizer="netlist")
+        config = IngestConfig(level="netlist", jobs=1)
+        first, _ = ingest_corpus(tmp_path / "idx", [tiny], model, config)
+        assert not first.has_chunks
+        assert not (first.root / SIG_NAME).exists()
+        index, report = ingest_corpus(tmp_path / "idx",
+                                      [tiny] + list(netlist_corpus), model,
+                                      config, fresh=True)
+        assert report["embeddings_reused"] == 1
+        assert index.has_chunks
+        assert index.signature_scorer() is not None
+
+    def test_add_reuses_stored_key(self, tmp_path, netlist_corpus):
+        """``Corpus.add`` of known content copies its rows, regions and
+        WL colors under the new entry name."""
+        model = GNN4IP(seed=0, featurizer="netlist")
+        corpus, _ = Corpus.build(tmp_path / "idx", netlist_corpus, model,
+                                 IngestConfig(level="netlist", jobs=1))
+        copy = tmp_path / "copy.v"
+        copy.write_text(open(netlist_corpus[0]).read())
+        report = corpus.add([copy], jobs=1)
+        assert report["embeddings_reused"] == 1
+        assert report["embedded_fresh"] == 0
+        index = corpus.index
+        original, added = index.entries[0], index.entries[-1]
+        assert added["name"] == "copy" and added["reused"]
+        assert (added["design"], added["nodes"], added["edges"]) == \
+            (original["design"], original["nodes"], original["edges"])
+
+        def owned(name):
+            return [(row, spec.get("region"))
+                    for row, spec in enumerate(index.rows)
+                    if name in (spec.get("name"), spec.get("parent"))]
+
+        first, second = owned(original["name"]), owned("copy")
+        assert [r for _, r in first] == [r for _, r in second]
+        for (a, _), (b, _) in zip(first, second):
+            np.testing.assert_array_equal(index.shards.row(a),
+                                          index.shards.row(b))
+        colors, _ = load_signatures(index.root)
+        assert colors["copy"] == colors[original["name"]]
+        assert index.signature_scorer() is not None
+
+    def test_append_refits_past_refit_growth(self, tmp_path, corpus,
+                                             monkeypatch):
+        """Appends grow the quantizer assign-only until the rows added
+        since the last k-means fit exceed REFIT_GROWTH of the fitted
+        rows; then the whole index is re-fitted."""
+        monkeypatch.setattr("repro.index.ingest.IVF_MIN_ROWS", 2)
+        root = tmp_path / "idx"
+        index, _ = ingest_corpus(root, corpus[:3], GNN4IP(seed=0),
+                                 IngestConfig(jobs=1, chunks=False))
+        assert index.meta["ivf"]["fitted_rows"] == 3
+        grown, _ = ingest_corpus(root, corpus[3:4],
+                                 config=IngestConfig(jobs=1))
+        assert grown.meta["ivf"]["fitted_rows"] == 3  # 1 <= max(2, 1)
+        assert grown.ivf.rows == 4
+        refitted, _ = ingest_corpus(root, corpus[4:],
+                                    config=IngestConfig(jobs=1))
+        assert refitted.meta["ivf"]["fitted_rows"] == 6  # 3 > max(2, 1)
+        assert refitted.ivf.rows == 6
+        assert sorted(p.name for p in root.glob("ivf*.npz")) == \
+            [refitted.meta["ivf"]["file"]]
 
 
 class TestCompaction:

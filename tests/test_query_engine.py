@@ -17,11 +17,11 @@ from repro.dataflow import dfg_from_verilog
 from repro.errors import IndexStoreError
 from repro.index import (
     FingerprintIndex,
+    IngestConfig,
     IVFIndex,
     QueryEngine,
-    add_to_index,
-    build_index,
-    migrate_v2,
+    ingest_corpus,
+    migrate_index,
 )
 from repro.index import service as service_mod
 from repro.index.shards import unit_rows_f32
@@ -62,12 +62,23 @@ def corpus_dir(tmp_path):
     return root
 
 
+def build(root, paths, model, **options):
+    """A fresh serial ingest (what ``Corpus.build`` runs)."""
+    return ingest_corpus(root, paths, model,
+                         IngestConfig(jobs=1, **options), fresh=True)
+
+
+def append(root, paths):
+    """A serial append-mode ingest (what ``Corpus.add`` runs)."""
+    return ingest_corpus(root, paths, config=IngestConfig(jobs=1),
+                         resume=False)
+
+
 @pytest.fixture
 def built(tmp_path, corpus_dir):
     model = GNN4IP(seed=0)
-    index, report = build_index(tmp_path / "idx",
-                                sorted(corpus_dir.glob("*.v")), model,
-                                jobs=1)
+    index, report = build(tmp_path / "idx",
+                                sorted(corpus_dir.glob("*.v")), model)
     return index, report, model
 
 
@@ -117,7 +128,7 @@ class TestV2Migration:
         suspect = dfg_from_verilog(ADDER)
         before = index.query_graph(suspect, model, k=3)
         _downgrade_to_v2(index)
-        migrated = migrate_v2(index.root)
+        migrated = migrate_index(index.root)
         assert not (index.root / "embeddings.npz").exists()
         after = migrated.query_graph(suspect, model, k=3)
         assert [(h.name, h.score) for h in after] == \
@@ -140,7 +151,7 @@ class TestV2Migration:
         meta["version"] = 1
         (index.root / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(IndexStoreError, match="only v2"):
-            migrate_v2(index.root)
+            migrate_index(index.root)
 
 
 class TestShardIntegrity:
@@ -178,9 +189,8 @@ class TestShardIntegrity:
         mid-rebuild can never pair the previous meta with new bytes."""
         index, _, model = built
         old = index.meta["store"]["shards"][0]["file"]
-        rebuilt, _ = build_index(index.root,
-                                 sorted(corpus_dir.glob("*.v")), model,
-                                 jobs=1)
+        rebuilt, _ = build(index.root,
+                                 sorted(corpus_dir.glob("*.v")), model)
         new = rebuilt.meta["store"]["shards"][0]["file"]
         assert new != old
         assert not (index.root / "shards" / old).exists()
@@ -309,11 +319,10 @@ class TestIVF:
         """The quantizer is an accelerator, not a dependency: a broken
         ivf.npz must not make an intact index unloadable, and the next
         add refits it."""
-        monkeypatch.setattr("repro.index.store.IVF_MIN_ROWS", 2)
+        monkeypatch.setattr("repro.index.ingest.IVF_MIN_ROWS", 2)
         model = GNN4IP(seed=0)
         root = tmp_path / "ivf_idx"
-        index, _ = build_index(root, sorted(corpus_dir.glob("*.v")),
-                               model, jobs=1)
+        index, _ = build(root, sorted(corpus_dir.glob("*.v")), model)
         assert index.ivf is not None
         # Corrupt quantizer -> exact serving, index still loads.
         (root / index.meta["ivf"]["file"]).write_bytes(b"junk")
@@ -324,7 +333,7 @@ class TestIVF:
         assert degraded.stats()["ivf_clusters"] == 0
         # Simulated crash between ivf.save and the meta write: quantizer
         # rows outrun the metadata -> treated as stale, exact serving.
-        healed, _ = add_to_index(root, [corpus_dir / "adder.v"], jobs=1)
+        healed, _ = append(root, [corpus_dir / "adder.v"])
         assert healed.ivf is not None
         healed.ivf.add(np.ones((1, 16), dtype=np.float32))
         healed.ivf.save(root / healed.meta["ivf"]["file"])
@@ -333,7 +342,7 @@ class TestIVF:
         # under a fresh generation name, and cleans superseded files.
         extra = tmp_path / "xchain.v"
         extra.write_text(XOR_CHAIN)
-        refitted, _ = add_to_index(root, [extra], jobs=1)
+        refitted, _ = append(root, [extra])
         assert refitted.ivf is not None
         assert refitted.ivf.rows == len(refitted)
         on_disk = sorted(p.name for p in root.glob("ivf*.npz"))
@@ -349,8 +358,8 @@ class TestIncrementalAdd:
         before_bytes = first_shard.read_bytes()
         extra = tmp_path / "xchain.v"
         extra.write_text(XOR_CHAIN)
-        grown, report = add_to_index(index.root, [extra], jobs=1)
-        assert report["mode"] == "add"
+        grown, report = append(index.root, [extra])
+        assert report["ingest"]["ingest_mode"] == "append"
         assert report["embedded_fresh"] == 1
         assert len(grown) == len(index) + 1
         assert first_shard.read_bytes() == before_bytes
@@ -363,7 +372,7 @@ class TestIncrementalAdd:
         index, _, _ = built
         copy = tmp_path / "adder_copy.v"
         copy.write_text(ADDER)
-        grown, report = add_to_index(index.root, [copy], jobs=1)
+        grown, report = append(index.root, [copy])
         assert report["embedded_fresh"] == 0
         assert report["embeddings_reused"] == 1
         assert len(grown) == len(index) + 1
@@ -372,7 +381,7 @@ class TestIncrementalAdd:
         index, _, _ = built
         other = tmp_path / "adder.v"
         other.write_text(XOR_CHAIN)
-        grown, _ = add_to_index(index.root, [other], jobs=1)
+        grown, _ = append(index.root, [other])
         names = [e["name"] for e in grown.entries]
         assert "adder" in names and "adder#2" in names
 
@@ -435,8 +444,8 @@ class TestServingCaches:
 
     def test_stats_does_not_create_cache_dir(self, tmp_path, corpus_dir):
         root = tmp_path / "nocache_idx"
-        index, _ = build_index(root, sorted(corpus_dir.glob("*.v")),
-                               GNN4IP(seed=0), jobs=1, use_cache=False)
+        index, _ = build(root, sorted(corpus_dir.glob("*.v")),
+                               GNN4IP(seed=0), use_cache=False)
         assert not index.use_cache
         assert not (root / "cache").exists()
         stats = FingerprintIndex.load(root).stats()
@@ -449,8 +458,8 @@ class TestServingCaches:
     def test_compare_respects_no_cache_policy(self, tmp_path, corpus_dir,
                                               capsys):
         root = tmp_path / "nocache_idx"
-        build_index(root, sorted(corpus_dir.glob("*.v")), GNN4IP(seed=0),
-                    jobs=1, use_cache=False)
+        build(root, sorted(corpus_dir.glob("*.v")), GNN4IP(seed=0),
+                    use_cache=False)
         fresh = tmp_path / "fresh.v"
         fresh.write_text(XOR_CHAIN)
         code = main(["compare", str(corpus_dir / "adder.v"), str(fresh),
