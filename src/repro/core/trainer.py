@@ -8,14 +8,16 @@ embedding each pair separately, but far cheaper — a graph appearing in k
 pairs is propagated once instead of k times.
 
 Each step packs the minibatch's unique graphs into one block-diagonal
-system (:mod:`repro.nn.batch`) and runs forward *and* backward as a
-handful of large sparse/dense products; pooling and readout are
-segment-wise over the packed nodes, and the pair losses are one vectorized
-cosine computation.  ``tests/test_trainer_golden.py`` pins the trained
-weights byte for byte.
+system (:mod:`repro.nn.batch`) and runs the whole encoder as one
+hand-written autograd node: forward *and* backward are a handful of large
+sparse/dense products, pooling and readout are segment-wise over the
+packed nodes, and the pair losses are one vectorized cosine computation.
+``tests/test_trainer_golden.py`` pins the trained weights byte for byte.
 """
 
 import time
+
+import numpy as np
 
 from repro.core.dataset import batches
 from repro.core.gnn4ip import GNN4IP, cosine_similarity_np
@@ -62,16 +64,24 @@ class Trainer:
         else:
             raise ModelError(f"unknown optimizer {optimizer!r}")
         self._prepared = None
+        self._propagated = None
         self._prepared_records = None
 
     # ------------------------------------------------------------------
     def _prepare_all(self, dataset):
-        """Prepared graphs, cached per records list (identity and length)."""
+        """Prepared graphs, cached per records list (identity and length).
+
+        Alongside each graph the cache keeps ``a_norm @ features``, the
+        first GCN layer's propagation, which no weight update changes;
+        :meth:`_step` stacks it per minibatch instead of recomputing it.
+        """
         records = dataset.records
         if (self._prepared_records is not records
                 or len(self._prepared) != len(records)):
             encoder = self.model.encoder
             self._prepared = [encoder.prepare(r.graph) for r in records]
+            self._propagated = [p.a_norm @ p.features
+                                for p in self._prepared]
             self._prepared_records = records
         return self._prepared
 
@@ -94,6 +104,7 @@ class Trainer:
         unique = sorted({i for i, _, _ in batch} | {j for _, j, _ in batch})
         row = {graph: r for r, graph in enumerate(unique)}
         packed = pack_prepared([self._prepared[g] for g in unique])
+        packed.propagated = np.vstack([self._propagated[g] for g in unique])
         embeddings = batched_forward_tensor(encoder, packed)
         loss, _ = batched_pair_loss(
             embeddings, [(row[i], row[j], label) for i, j, label in batch],

@@ -15,19 +15,20 @@ batched math is exactly the per-graph math; the only numerical difference
 is BLAS summation order on the larger matrices, which the tests bound at
 1e-9 relative against :meth:`HW2VEC.embed` in eval mode.
 
-The pooling / readout tail is segment-wise rather than per graph: one
-lexsort picks every graph's top-k nodes
-(:func:`~repro.nn.pooling.segment_topk`), and one readout node
-(:meth:`~repro.nn.tensor.Tensor.segment_reduce`) reduces each graph's
-gated nodes to its embedding row.
+The pooling / readout tail is segment-wise rather than per graph: a
+stable argsort per segment picks every graph's top-k nodes
+(:func:`~repro.nn.pooling.segment_topk`), and one readout
+(:func:`~repro.nn.tensor.segment_values`) reduces each graph's gated
+nodes to its embedding row.
 
 Two entry points share the packing:
 
 - :func:`batched_forward` / :func:`batched_embed` — raw-numpy eval path
   for inference (no gradient tape, dropout always off).
 - :func:`batched_forward_tensor` + :func:`batched_pair_loss` — the
-  autograd path the trainer uses: the same block-diagonal system built
-  from :class:`~repro.nn.tensor.Tensor` ops, so one ``backward()`` call
+  training path: the whole encoder (GCN stack, SAGPool gate, readout) is
+  one hand-written :class:`~repro.nn.tensor.Tensor` node whose backward
+  writes every parameter's gradient, so one ``backward()`` call
   propagates gradients for a whole minibatch of graphs and pair losses.
 """
 
@@ -35,7 +36,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.nn.pooling import segment_topk
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, segment_grad, segment_values
 
 
 class GraphBatch:
@@ -46,15 +47,20 @@ class GraphBatch:
         a_norm: block-diagonal normalized adjacency (CSR).
         sizes: node count per graph.
         offsets: start row of each graph's node segment (len = n_graphs+1).
+        propagated: ``a_norm @ features`` when the packer has it cached
+            (the trainer does), else ``None``.  Layer 0's propagation is
+            a constant, and the row-wise CSR product makes the stack of
+            per-graph products equal the block product byte for byte.
     """
 
-    __slots__ = ("features", "a_norm", "sizes", "offsets")
+    __slots__ = ("features", "a_norm", "sizes", "offsets", "propagated")
 
     def __init__(self, features, a_norm, sizes):
         self.features = features
         self.a_norm = a_norm
         self.sizes = list(sizes)
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
+        self.propagated = None
 
     def __len__(self):
         return len(self.sizes)
@@ -113,9 +119,10 @@ def batched_forward(encoder, batch):
 
     kept, counts = segment_topk(scores, batch.sizes, encoder.pool.ratio)
     starts = np.cumsum(counts) - counts
-    gated = Tensor(x[kept] * np.tanh(scores[kept])[:, None])
+    gated = x[kept] * np.tanh(scores[kept])[:, None]
     mode = encoder.readout.mode
-    out = gated.segment_reduce(starts, "max" if mode == "max" else "sum").data
+    out = segment_values(gated, starts, counts,
+                         "max" if mode == "max" else "sum")
     return out / counts[:, None] if mode == "mean" else out
 
 
@@ -123,55 +130,116 @@ def _dropout_masks(dropout, batch, layers, width):
     """Every layer's dropout mask for the batch, from one RNG draw.
 
     Rows are drawn graph-major, layer-minor — the RNG order of per-graph
-    :meth:`HW2VEC.forward` calls — then regrouped into one mask per layer.
+    :meth:`HW2VEC.forward` calls — then regrouped as booleans into one
+    mask per layer and scaled once.
     """
     sizes = np.asarray(batch.sizes)
     graph = np.repeat(np.arange(len(sizes)), sizes)
-    drawn = dropout.draw_mask((layers * len(graph), width))
+    kept = dropout.keep_mask((layers * len(graph), width))
     # Graph g's block for layer l starts at row layers * offsets[g] + l * N_g.
     rows = np.arange(len(graph)) + (layers - 1) * batch.offsets[graph]
-    return [drawn[rows + layer * sizes[graph]] for layer in range(layers)]
+    rows = rows + np.arange(layers)[:, None] * sizes[graph]
+    return list(np.take(kept, rows, axis=0) * dropout.scale)
 
 
 def batched_forward_tensor(encoder, batch):
-    """Autograd-capable forward pass over a :class:`GraphBatch`.
+    """Training forward pass over a :class:`GraphBatch`: one autograd node.
 
-    The differentiable twin of :func:`batched_forward`: runs the GCN stack
-    as block-diagonal Tensor ops (building the gradient tape through the
-    encoder's weights), honours the encoder's train/eval mode for dropout,
-    and applies the SAGPool/readout tail segment-wise with differentiable
-    gathers and a segment readout.  Dropout masks follow the RNG order of
-    per-graph :meth:`HW2VEC.forward` calls over the same graphs (see
-    :func:`_dropout_masks`).  Because the blocks share no entries, the
-    gradients accumulated by ``backward()`` equal the sum of per-graph
+    The differentiable twin of :func:`batched_forward`, kept apart from
+    it because each pins its own bytes: the tape's ReLU (``x * (x > 0)``)
+    and mean readout (``* (1 / count)``) differ from the eval path's
+    ``np.maximum`` and division in zero signs and last bits.  The GCN stack,
+    dropout (the encoder's train/eval mode decides), the SAGPool gate and
+    the segment readout run in plain numpy, keeping what the backward
+    needs; the returned node's hand-written backward writes each encoder
+    parameter's gradient through ``_accumulate``.  Forward and backward do
+    the arithmetic of the equivalent composition of
+    :class:`~repro.nn.tensor.Tensor` ops (``GCNConv`` → ``relu`` →
+    dropout per layer, then ``index_select``/``tanh``/``segment_reduce``)
+    operation for operation, in the same order, so values and gradients
+    equal that tape's bit for bit.  One exception in form, not in value:
+    the backward propagates through ``a_norm @ g`` where the tape used
+    ``a_norm.T @ g``.  Graph preparation builds ``a_norm`` from symmetric
+    edge keys, so it equals its transpose byte for byte, and both
+    products sum each row in ascending column order.
+
+    Dropout masks follow the RNG order of per-graph :meth:`HW2VEC.forward`
+    calls over the same graphs (see :func:`_dropout_masks`).  Because the
+    blocks share no entries, the gradients equal the sum of per-graph
     backward passes.
 
     Returns:
         ``(n_graphs, hidden)`` embedding Tensor.
     """
+    convs = encoder.convs
+    score_layer = encoder.pool.score_layer
+    a_norm = batch.a_norm
     dropout = encoder.dropout
     masks = None
     if dropout.training and dropout.rate > 0.0:
-        masks = _dropout_masks(dropout, batch, len(encoder.convs),
-                               encoder.hidden)
+        masks = _dropout_masks(dropout, batch, len(convs), encoder.hidden)
 
-    x = Tensor(batch.features)
-    for layer, conv in enumerate(encoder.convs):
-        x = conv(x, batch.a_norm).relu()
+    # Each layer's propagated input is its weight gradient's left factor.
+    inputs, relus = [], []
+    x = batch.features
+    for layer, conv in enumerate(convs):
+        if layer == 0 and batch.propagated is not None:
+            inputs.append(batch.propagated)
+        else:
+            inputs.append(a_norm @ x)
+        x = inputs[-1] @ conv.weight.data
+        if conv.bias is not None:
+            x += conv.bias.data
+        relus.append(x > 0)
+        x *= relus[-1]
         if masks is not None:
-            x = x * masks[layer]
-    scores = encoder.pool.score_layer(x, batch.a_norm)
+            x *= masks[layer]
+    inputs.append(a_norm @ x)
+    scores = inputs[-1] @ score_layer.weight.data
+    if score_layer.bias is not None:
+        scores += score_layer.bias.data
     scores = scores.reshape(scores.shape[0])
 
     # Top-k selection is data-dependent but not differentiated (exactly as
     # in SAGPool), so the kept indices come from the raw score values.
-    kept, counts = segment_topk(scores.data, batch.sizes, encoder.pool.ratio)
+    kept, counts = segment_topk(scores, batch.sizes, encoder.pool.ratio)
     starts = np.cumsum(counts) - counts
-    gate = scores.index_select(kept).tanh().reshape(len(kept), 1)
-    gated = x.index_select(kept) * gate
-    mode = encoder.readout.mode
-    out = gated.segment_reduce(starts, "max" if mode == "max" else "sum")
-    return out * (1.0 / counts[:, None]) if mode == "mean" else out
+    tanh = np.tanh(scores[kept])
+    gate = tanh.reshape(len(kept), 1)
+    picked = np.take(x, kept, axis=0)
+    gated = picked * gate
+    mean = encoder.readout.mode == "mean"
+    reduce = "max" if encoder.readout.mode == "max" else "sum"
+    readout = segment_values(gated, starts, counts, reduce)
+    inverse = 1.0 / counts[:, None]
+    out = readout * inverse if mean else readout
+
+    def backward(grad):
+        if mean:
+            grad = grad * inverse
+        grad = segment_grad(gated, readout, starts, counts, reduce, grad)
+        grad_tanh = (grad * picked).sum(axis=1) * (1.0 - tanh ** 2)
+        grad_scores = np.zeros_like(scores)
+        grad_scores[kept] = grad_tanh + 0.0
+        grad_scores = grad_scores.reshape(len(scores), 1)
+        if score_layer.bias is not None:
+            score_layer.bias._accumulate(grad_scores)
+        score_layer.weight._accumulate(inputs[-1].T @ grad_scores)
+        grad_x = np.zeros_like(x)
+        grad_x[kept] = grad * gate + 0.0
+        grad_x += a_norm @ (grad_scores @ score_layer.weight.data.T)
+        for layer in reversed(range(len(convs))):
+            conv = convs[layer]
+            if masks is not None:
+                grad_x *= masks[layer]
+            grad_x *= relus[layer]
+            if conv.bias is not None:
+                conv.bias._accumulate(grad_x)
+            conv.weight._accumulate(inputs[layer].T @ grad_x)
+            if layer:
+                grad_x = a_norm @ (grad_x @ conv.weight.data.T)
+
+    return Tensor._make(out, encoder.parameters(), backward)
 
 
 def batched_pair_loss(embeddings, pairs, margin=0.5, positive_weight=1.0,

@@ -203,15 +203,23 @@ class Dropout(Module):
         self.rate = rate
         self._rng = rng or np.random.default_rng(0)
 
-    def draw_mask(self, shape):
-        """Draw one inverted-dropout mask, consuming the module RNG.
+    @property
+    def scale(self):
+        """The factor kept activations are scaled by, ``1 / (1 - rate)``."""
+        return 1.0 / (1.0 - self.rate)
+
+    def keep_mask(self, shape):
+        """Draw one boolean keep mask, consuming the module RNG.
 
         Exposed so the block-diagonal batched trainer can draw a whole
-        batch's masks in one call, in the per-graph forward order.
+        batch's masks in one call, in the per-graph forward order, and
+        regroup them as booleans before scaling.
         """
-        keep = 1.0 - self.rate
-        mask = self._rng.random(shape) < keep
-        return mask.astype(np.float64) / keep
+        return self._rng.random(shape) < 1.0 - self.rate
+
+    def draw_mask(self, shape):
+        """Draw one inverted-dropout mask: a keep mask times :attr:`scale`."""
+        return self.keep_mask(shape) * self.scale
 
     def forward(self, x):
         if not self.training or self.rate == 0.0:

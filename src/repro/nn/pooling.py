@@ -16,17 +16,23 @@ from repro.nn.tensor import Tensor
 def segment_topk(scores, sizes, ratio):
     """:func:`topk_nodes` for consecutive graphs of ``sizes`` nodes at once.
 
-    One ``np.lexsort`` orders every segment of ``scores``.  Returns the
-    ascending kept indices into ``scores`` and the number kept per graph.
+    Each segment of ``scores`` is ordered by its own stable descending
+    argsort, so ties keep node order.  Returns the ascending kept indices
+    into ``scores`` and the number kept per graph.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    segment = np.repeat(np.arange(len(sizes)), sizes)
-    order = np.lexsort((-scores, segment))
     keep = np.maximum(1, np.ceil(ratio * sizes).astype(np.int64))
-    rank = np.arange(len(order)) - starts[segment]
-    kept = np.sort(order[rank < keep[segment]])
-    return kept, np.minimum(keep, sizes)
+    counts = np.minimum(keep, sizes)
+    starts = np.cumsum(sizes) - sizes
+    negated = -np.asarray(scores)
+    tops = [np.empty(0, dtype=np.int64)]
+    for start, size, count in zip(starts.tolist(), sizes.tolist(),
+                                  counts.tolist()):
+        tops.append(np.argsort(negated[start:start + size],
+                               kind="stable")[:count])
+    kept = np.concatenate(tops) + np.repeat(starts, counts)
+    kept.sort()
+    return kept, counts
 
 
 def topk_nodes(scores, num_nodes, ratio):

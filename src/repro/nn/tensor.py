@@ -78,7 +78,9 @@ class Tensor:
         return Tensor(self.data)
 
     # -- graph bookkeeping -----------------------------------------------
-    def _make(self, data, parents, backward):
+    @staticmethod
+    def _make(data, parents, backward):
+        """A new node over ``data``; on the tape when a parent needs grad."""
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -271,22 +273,12 @@ class Tensor:
         """
         starts = np.asarray(starts, dtype=np.int64)
         counts = np.diff(np.append(starts, len(self.data)))
-        # Not ``ufunc.reduceat``: it combines rows in another order than
-        # ``max``/``sum(axis=0)``, changing sums and the sign of tied zeros.
-        reduce = np.max if mode == "max" else np.sum
-        value = np.stack([reduce(self.data[start:start + count], axis=0)
-                          for start, count in zip(starts, counts)])
+        value = segment_values(self.data, starts, counts, mode)
 
         def backward(grad):
             if self.requires_grad:
-                grad = np.repeat(grad, counts, axis=0)
-                if mode == "max":
-                    hit = (self.data == np.repeat(value, counts, 0)) * 1.0
-                    ties = np.maximum(np.add.reduceat(hit, starts, 0), 1.0)
-                    grad = hit / np.repeat(ties, counts, 0) * grad
-                # ``+ 0.0`` maps -0.0 to 0.0, as ``index_select``'s scatter
-                # onto zeros does.
-                self._accumulate(grad + 0.0)
+                self._accumulate(segment_grad(self.data, value, starts,
+                                              counts, mode, grad))
 
         return self._make(value, (self,), backward)
 
@@ -331,6 +323,34 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
+def segment_values(data, starts, counts, mode):
+    """Per-segment ``max`` or ``sum`` of ``counts[i]`` rows from ``starts[i]``.
+
+    Not ``ufunc.reduceat``: it combines rows in another order than
+    ``max``/``sum(axis=0)``, changing sums and the sign of tied zeros.
+    """
+    reduce = np.maximum.reduce if mode == "max" else np.add.reduce
+    return np.stack([reduce(data[start:start + count], axis=0)
+                     for start, count in zip(starts, counts)])
+
+
+def segment_grad(data, value, starts, counts, mode, grad):
+    """Gradient of :func:`segment_values` with respect to ``data``.
+
+    The ``max`` gradient is split evenly among a segment's tied maxima.
+    """
+    grad = np.repeat(grad, counts, axis=0)
+    if mode == "max":
+        hit = (data == np.repeat(value, counts, 0)) * 1.0
+        ties = np.maximum(np.add.reduceat(hit, starts, 0), 1.0)
+        hit /= np.repeat(ties, counts, 0)
+        grad *= hit
+    # ``+ 0.0`` maps -0.0 to 0.0, as ``index_select``'s scatter onto
+    # zeros does.
+    grad += 0.0
+    return grad
+
+
 def spmm(matrix, dense):
     """Sparse-constant @ dense-tensor product.
 
@@ -363,12 +383,7 @@ def concat(tensors, axis=0):
                 slicer[axis] = slice(start, stop)
                 tensor._accumulate(grad[tuple(slicer)])
 
-    out = Tensor(data)
-    if any(t.requires_grad for t in tensors):
-        out.requires_grad = True
-        out._parents = tuple(tensors)
-        out._backward = backward
-    return out
+    return Tensor._make(data, tensors, backward)
 
 
 def dot(a, b):

@@ -22,7 +22,7 @@ from repro.api import (
 )
 from repro.cli import main
 from repro.core import GNN4IP, save_model
-from repro.errors import IndexStoreError, ModelError
+from repro.errors import GraphIRError, IndexStoreError, ModelError
 
 ADDER = """
 module adder(input [3:0] a, input [3:0] b, output [4:0] s);
@@ -35,6 +35,8 @@ module mux(input [7:0] d, input [2:0] sel, output q);
   assign q = d[sel];
 endmodule
 """
+
+EMPTY = "module m(); endmodule\n"
 
 XOR_CHAIN = """
 module xchain(input [3:0] a, input [3:0] b, output x);
@@ -243,6 +245,27 @@ class TestSession:
         # Judged against the stored model's delta (2.0), not 0.0.
         assert result[0].score == pytest.approx(1.0, abs=1e-6)
         assert not result[0].is_piracy
+
+    def test_empty_module_is_a_graphir_error(self, built, detector):
+        """A valid but empty module has nothing to embed: a named
+        ``GraphIRError``, not a numpy reduction error."""
+        session = Session(detector=detector, corpus=built)
+        with pytest.raises(GraphIRError, match="'m'.*empty"):
+            session.query([EMPTY], k=1)
+        with pytest.raises(GraphIRError, match="'m'.*empty"):
+            session.compare(EMPTY, ADDER)
+
+    def test_empty_module_recorded_as_readable_build_failure(
+            self, tmp_path, corpus_dir, detector):
+        (corpus_dir / "empty.v").write_text(EMPTY)
+        corpus, report = Corpus.build(tmp_path / "idx",
+                                      sorted(corpus_dir.glob("*.v")),
+                                      detector, IndexConfig(jobs=1))
+        assert report["failures"] == 1
+        (entry,) = [e for e in corpus.index.entries
+                    if e["status"] == "error"]
+        assert entry["error"].startswith("GraphIRError: design 'm'")
+        assert "nothing to embed" in entry["error"]
 
     def test_open_uses_corpus_model(self, built):
         session = Session.open(built.root)

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.core import HW2VEC, PreparedGraph
-from repro.core.features import NETLIST_FEATURIZER
+from repro.core.features import NETLIST_FEATURIZER, RTL_FEATURIZER
 from repro.dataflow import dfg_from_verilog
-from repro.designs import netlist_ir_records
+from repro.designs import netlist_ir_records, rtl_records
 from repro.errors import ModelError
 from repro.eval.runner import DEFAULT_EVAL_FAMILIES
 from repro.index.chunks import extract_chunks
+from repro.ir import to_graphir
 from repro.ir.graphir import KIND_CELL, LEVEL_NETLIST, GraphIR
 from repro.nn.layers import normalize_adjacency
 
@@ -152,6 +153,27 @@ class TestPreparedGraph:
                 assert_prepared_like_reference(sub)
                 checked += 1
         assert checked > len(records)
+
+    @pytest.mark.parametrize(
+        "records, featurizer",
+        [(netlist_ir_records, NETLIST_FEATURIZER), (rtl_records, RTL_FEATURIZER)],
+        ids=["netlist", "rtl"],
+    )
+    def test_a_norm_equals_its_transpose(self, records, featurizer):
+        """The training backward multiplies by ``a_norm`` in place of
+        ``a_norm.T``, which is only exact while the two are byte-equal."""
+        checked = 0
+        for record in records(
+            families=["adder8", "cmp8", "counter8", "lfsr8"],
+            instances_per_design=2,
+            seed=4,
+        ):
+            graph = to_graphir(record.graph)
+            for sub in [graph] + [sub for sub, _ in extract_chunks(graph)]:
+                a_norm = PreparedGraph(sub, featurizer).a_norm
+                assert_csr_identical(a_norm, a_norm.T.tocsr())
+                checked += 1
+        assert checked > 16
 
     def test_no_raw_adjacency_kept(self):
         prepared = PreparedGraph(make_graph(*CASES["reciprocal"]), "netlist")

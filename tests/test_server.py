@@ -241,6 +241,22 @@ class TestMicroBatching:
 
         serve(session, scenario, batch_window_s=0.05)
 
+    def test_empty_module_fails_only_its_request(self, session):
+        """An empty design is rejected at extraction (phase 1), so the
+        good job sharing its gulp is still embedded and answered."""
+        async def scenario(server, client):
+            good, empty = await asyncio.gather(
+                client.query(sources=[ADDER], k=1),
+                expect_error(
+                    client.query(sources=["module m(); endmodule"]), 400,
+                    "GraphIRError"))
+            assert good["results"][0]["matches"][0]["design"] == "adder"
+            assert "empty" in str(empty)
+            stats = await client.stats()
+            assert stats["query_batches"] == 1  # one gulp held both jobs
+
+        serve(session, scenario, batch_window_s=0.2)
+
 
 class TestErrorEnvelopes:
     def test_unknown_route_404(self, session):

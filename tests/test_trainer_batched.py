@@ -1,16 +1,27 @@
-"""Batched training: pair-loss parity, determinism, the prepared cache."""
+"""Batched training: the fused encoder node, pair-loss parity,
+determinism, the prepared cache."""
 
 import numpy as np
 import pytest
 
-from repro.core import GNN4IP, GraphRecord, Trainer, build_pair_dataset
+from repro.core import (
+    GNN4IP,
+    HW2VEC,
+    GraphRecord,
+    Trainer,
+    build_pair_dataset,
+)
 from repro.dataflow import dfg_from_verilog
+from repro.designs import netlist_ir_records
+from repro.index.chunks import extract_chunks
 from repro.nn.batch import (
     batched_forward_tensor,
     batched_pair_loss,
     pack_prepared,
 )
 from repro.nn.loss import cosine_embedding_loss
+from repro.nn.pooling import segment_topk
+from repro.nn.tensor import Tensor
 
 XOR = """
 module x(input a, input b, output y);
@@ -43,6 +54,90 @@ def dataset():
         GraphRecord("cnt", "c0", dfg_from_verilog(COUNTER)),
     ]
     return build_pair_dataset(records, test_fraction=0.2, seed=1)
+
+
+def reference_dropout_masks(dropout, batch, layers, width):
+    """Per-layer float masks from one draw, regrouped as float rows."""
+    sizes = np.asarray(batch.sizes)
+    graph = np.repeat(np.arange(len(sizes)), sizes)
+    drawn = dropout.draw_mask((layers * len(graph), width))
+    rows = np.arange(len(graph)) + (layers - 1) * batch.offsets[graph]
+    return [drawn[rows + layer * sizes[graph]] for layer in range(layers)]
+
+
+def reference_forward_tensor(encoder, batch):
+    """The encoder as a composition of Tensor ops, one tape node per op.
+
+    This is the batched training forward the fused
+    :func:`batched_forward_tensor` node replaced; its tape's gradients
+    are the oracle the fused backward must equal byte for byte.
+    """
+    dropout = encoder.dropout
+    masks = None
+    if dropout.training and dropout.rate > 0.0:
+        masks = reference_dropout_masks(dropout, batch, len(encoder.convs),
+                                        encoder.hidden)
+    x = Tensor(batch.features)
+    for layer, conv in enumerate(encoder.convs):
+        x = conv(x, batch.a_norm).relu()
+        if masks is not None:
+            x = x * masks[layer]
+    scores = encoder.pool.score_layer(x, batch.a_norm)
+    scores = scores.reshape(scores.shape[0])
+    kept, counts = segment_topk(scores.data, batch.sizes, encoder.pool.ratio)
+    starts = np.cumsum(counts) - counts
+    gate = scores.index_select(kept).tanh().reshape(len(kept), 1)
+    gated = x.index_select(kept) * gate
+    mode = encoder.readout.mode
+    out = gated.segment_reduce(starts, "max" if mode == "max" else "sum")
+    return out * (1.0 / counts[:, None]) if mode == "mean" else out
+
+
+@pytest.fixture(scope="module")
+def netlist_graphs():
+    """Whole designs and their chunks: uneven sizes, tied scores."""
+    records = netlist_ir_records(families=["adder8", "cmp8", "counter8"],
+                                 instances_per_design=1, seed=1)
+    graphs = []
+    for record in records:
+        graphs.append(record.graph)
+        graphs.extend(sub for sub, _ in extract_chunks(record.graph)[:6])
+    return graphs
+
+
+class TestFusedEncoderNode:
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("readout", ["max", "mean", "sum"])
+    def test_matches_tensor_op_oracle(self, netlist_graphs, readout,
+                                      num_layers, dropout):
+        def run(forward, propagated):
+            encoder = HW2VEC(seed=5, featurizer="netlist", readout=readout,
+                             num_layers=num_layers, dropout=dropout)
+            encoder.train()
+            prepared = [encoder.prepare(g) for g in netlist_graphs]
+            batch = pack_prepared(prepared)
+            if propagated:
+                batch.propagated = np.vstack(
+                    [p.a_norm @ p.features for p in prepared])
+            out = forward(encoder, batch)
+            seed = np.random.default_rng(11).standard_normal(out.shape)
+            out.backward(seed)
+            grads = {name: param.grad.tobytes()
+                     for name, param in encoder.named_parameters()}
+            return out.data.tobytes(), grads, encoder.dropout._rng.random()
+
+        expected = run(reference_forward_tensor, propagated=False)
+        assert run(batched_forward_tensor, propagated=False) == expected
+        assert run(batched_forward_tensor, propagated=True) == expected
+
+    def test_eval_mode_draws_no_masks(self, netlist_graphs):
+        encoder = HW2VEC(seed=5, featurizer="netlist", dropout=0.5)
+        encoder.eval()
+        batch = pack_prepared([encoder.prepare(g) for g in netlist_graphs])
+        state = encoder.dropout._rng.bit_generator.state
+        batched_forward_tensor(encoder, batch)
+        assert encoder.dropout._rng.bit_generator.state == state
 
 
 class TestGradientEquivalence:
